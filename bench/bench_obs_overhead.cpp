@@ -4,7 +4,7 @@
 // MetricsRegistry scope installed (the path a profiled campaign takes).
 // The disabled number is committed as BENCH_obs.json; the acceptance bar
 // is <2% regression versus the baseline recorded there
-// (tools/ci/check_obs_overhead.py compares, non-gating).
+// (tools/ci/check_bench_regression.py --threshold 2 compares, non-gating).
 //
 // Prints a small JSON document on stdout so the driver can diff runs:
 //   {"events": ..., "reps": ..., "events_per_sec_median": ...,

@@ -1,9 +1,8 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 
 namespace fiveg::core {
@@ -97,15 +96,6 @@ void print_banner(const Experiment& exp, std::uint64_t seed,
      << "\n### " << exp.description() << "\n### seed " << seed << "\n\n";
 }
 
-bool ExperimentRegistry::run(const std::string& name,
-                             const ExperimentContext& ctx) {
-  const auto exp = create(name);
-  if (exp == nullptr) return false;
-  print_banner(*exp, ctx.seed, *ctx.out);
-  exp->run(ctx);
-  return true;
-}
-
 std::vector<std::string> ExperimentRegistry::names() const {
   ensure_registered();
   std::vector<std::string> out;
@@ -113,23 +103,6 @@ std::vector<std::string> ExperimentRegistry::names() const {
   for (const Entry& e : entries_) out.push_back(e.name);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-int run_experiment_main(const std::string& name, int argc, char** argv) {
-  ExperimentContext ctx;
-  ctx.out = &std::cout;
-  if (argc > 1) ctx.seed = std::strtoull(argv[1], nullptr, 10);
-
-  auto& registry = ExperimentRegistry::instance();
-  if (!name.empty()) {
-    if (!registry.run(name, ctx)) {
-      std::cerr << "unknown experiment: " << name << "\n";
-      return 1;
-    }
-    return 0;
-  }
-  for (const std::string& n : registry.names()) registry.run(n, ctx);
-  return 0;
 }
 
 }  // namespace fiveg::core

@@ -1,8 +1,8 @@
 // Experiment framework: every reproduced table/figure is an Experiment
-// registered by name. Bench binaries look experiments up and run them; the
-// output is a text table with the paper's values printed beside ours, plus
-// an optional structured result (status, wall-clock, named metric series)
-// consumed by the parallel Runner and the JSON emitter.
+// registered by name. The Runner (core/runner.h, driven by fiveg_runall)
+// looks experiments up and runs them; the output is a text table with the
+// paper's values printed beside ours, plus a structured result (status,
+// wall-clock, named metric series) consumed by the JSON emitter.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +73,7 @@ struct ExperimentResult {
 /// Everything an experiment run needs.
 struct ExperimentContext {
   std::uint64_t seed = 42;
-  std::ostream* out = nullptr;         // never null when run via the registry
+  std::ostream* out = nullptr;         // never null when run via the Runner
   ExperimentResult* result = nullptr;  // null when structured capture is off
   // Worker threads this experiment may give sim::ParSim (>= 1; the
   // Runner's --sim-threads budget after the inter/intra split). Thread
@@ -124,9 +124,6 @@ class ExperimentRegistry {
   [[nodiscard]] std::unique_ptr<Experiment> create(
       const std::string& name) const;
 
-  /// Runs the named experiment; returns false if unknown.
-  bool run(const std::string& name, const ExperimentContext& ctx);
-
   /// All registered experiment names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
 
@@ -158,13 +155,9 @@ void register_extension_experiments();
 void register_aqm_experiments();
 void register_city_experiments();
 
-/// Prints the standard "### name — reproduces ..." banner that precedes
-/// every experiment's tables (shared by the registry and the Runner).
+/// Prints the standard "### name — reproduces ..." banner that the Runner
+/// writes before every experiment's tables.
 void print_banner(const Experiment& exp, std::uint64_t seed,
                   std::ostream& os);
-
-/// Standard bench-binary main body: runs one experiment (or all when
-/// `name` is empty) with an optional seed argument.
-int run_experiment_main(const std::string& name, int argc, char** argv);
 
 }  // namespace fiveg::core

@@ -13,6 +13,7 @@
 #include "measure/json.h"
 #include "obs/json_check.h"
 #include "obs/prof.h"
+#include "sim/rng.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -23,18 +24,6 @@
 namespace fiveg::core {
 
 namespace {
-
-// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch the failure
-// modes a ledger actually sees (torn writes, disk corruption, hand edits).
-// Not cryptographic and not meant to be.
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string to_hex16(std::uint64_t v) {
   char buf[17];
@@ -330,7 +319,7 @@ std::string ledger_core_json(const ExperimentResult& r) {
 }
 
 std::string ledger_checksum(const ExperimentResult& r) {
-  return to_hex16(fnv1a64(ledger_core_json(r)));
+  return to_hex16(sim::fnv1a64(ledger_core_json(r)));
 }
 
 std::string ledger_line(const ExperimentResult& r) {

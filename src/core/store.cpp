@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/codec.h"
+#include "sim/rng.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -32,17 +33,6 @@ constexpr std::uint8_t kFrameRecord = 'R';
 constexpr std::size_t kHeaderSize = 10;
 // u64 payload checksum.
 constexpr std::size_t kTrailerSize = 8;
-
-// Same checksum family as the ledger: catches torn writes and disk
-// corruption, not adversaries.
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void put_u32le(std::string* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -81,7 +71,7 @@ void append_frame(std::string* out, std::uint8_t type,
   out->push_back(static_cast<char>(type));
   put_u32le(out, static_cast<std::uint32_t>(payload.size()));
   out->append(payload);
-  put_u64le(out, fnv1a64(payload));
+  put_u64le(out, sim::fnv1a64(payload));
 }
 
 std::uint8_t status_byte(RunStatus status) {
@@ -233,7 +223,7 @@ ParseState parse_impl(std::string_view bytes) {
     if (bytes.size() - pos - kHeaderSize - kTrailerSize < len) break;
     const std::string_view payload = bytes.substr(pos + kHeaderSize, len);
     if (get_u64le(bytes.data() + pos + kHeaderSize + len) !=
-        fnv1a64(payload)) {
+        sim::fnv1a64(payload)) {
       break;
     }
 

@@ -83,8 +83,7 @@ struct QdiscConfig {
 [[nodiscard]] bool parse_qdisc_spec(std::string_view spec, QdiscConfig* out);
 
 /// The measured status quo: a byte-bounded FIFO that tail-drops, plus the
-/// per-packet timestamps the sojourn metrics need. Behaviour (and the
-/// drop/depth accounting) matches net::DropTailQueue exactly.
+/// per-packet timestamps the sojourn metrics need.
 class DropTailQdisc final : public QueueDiscipline {
  public:
   explicit DropTailQdisc(std::uint64_t capacity_bytes)

@@ -3,19 +3,6 @@
 #include <algorithm>
 
 namespace fiveg::sim {
-namespace {
-
-// 64-bit FNV-1a over a string, used to key named substreams.
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 // splitmix64 finaliser: decorrelates adjacent seeds before feeding the
 // Mersenne Twister, whose own seeding is weak for small seed deltas.
@@ -29,7 +16,7 @@ std::uint64_t Rng::mix(std::uint64_t x) noexcept {
 Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mix(seed)) {}
 
 Rng Rng::fork(std::string_view name) const {
-  return Rng(mix(seed_ ^ fnv1a(name)));
+  return Rng(mix(seed_ ^ fnv1a64(name)));
 }
 
 double Rng::uniform(double lo, double hi) {

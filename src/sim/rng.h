@@ -9,6 +9,18 @@
 
 namespace fiveg::sim {
 
+/// 64-bit FNV-1a over a string. Keys Rng::fork's named substreams and
+/// checksums ledger records and store frames (torn writes, disk
+/// corruption); not cryptographic.
+[[nodiscard]] inline std::uint64_t fnv1a64(std::string_view s) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 /// Deterministic random source wrapping a 64-bit Mersenne Twister with the
 /// distribution helpers the models need.
 class Rng {

@@ -4,12 +4,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "app/iperf.h"
 #include "core/experiment.h"
 #include "core/paper.h"
+#include "core/runner.h"
 #include "core/scenario.h"
 
 namespace fiveg::core {
@@ -53,10 +53,7 @@ TEST(RegistryTest, AllExperimentsRegistered) {
 }
 
 TEST(RegistryTest, UnknownExperimentRejected) {
-  std::ostringstream os;
-  ExperimentContext ctx;
-  ctx.out = &os;
-  EXPECT_FALSE(ExperimentRegistry::instance().run("nope", ctx));
+  EXPECT_EQ(ExperimentRegistry::instance().create("nope"), nullptr);
 }
 
 TEST(RegistryTest, DuplicateNameRejectedAtRegistration) {
@@ -79,7 +76,6 @@ TEST(RegistryTest, CreateInstantiatesByName) {
   auto exp = ExperimentRegistry::instance().create("table1_phy_info");
   ASSERT_NE(exp, nullptr);
   EXPECT_EQ(exp->paper_ref(), "Table 1");
-  EXPECT_EQ(ExperimentRegistry::instance().create("nope"), nullptr);
 }
 
 TEST(ExperimentContextTest, MetricsAccumulateIntoResult) {
@@ -103,16 +99,16 @@ TEST(ExperimentContextTest, MetricsAccumulateIntoResult) {
 }
 
 TEST(RegistryTest, FastExperimentsProduceTables) {
-  for (const char* name :
-       {"table1_phy_info", "fig10_harq_retx", "fig22_energy_per_bit",
-        "table4_power_policies", "ablation_sa_handoff"}) {
-    std::ostringstream os;
-    ExperimentContext ctx;
-    ctx.seed = 42;
-    ctx.out = &os;
-    ASSERT_TRUE(ExperimentRegistry::instance().run(name, ctx)) << name;
-    EXPECT_NE(os.str().find("=="), std::string::npos) << name;
-    EXPECT_NE(os.str().find("reproduces"), std::string::npos) << name;
+  RunnerOptions opt;
+  opt.only_names = {"table1_phy_info", "fig10_harq_retx",
+                    "fig22_energy_per_bit", "table4_power_policies",
+                    "ablation_sa_handoff"};
+  const RunSummary summary = Runner(opt).run();
+  ASSERT_EQ(summary.results.size(), opt.only_names.size());
+  for (const ExperimentResult& r : summary.results) {
+    EXPECT_EQ(r.status, RunStatus::kOk) << r.name << ": " << r.error;
+    EXPECT_NE(r.text.find("=="), std::string::npos) << r.name;
+    EXPECT_NE(r.text.find("reproduces"), std::string::npos) << r.name;
   }
 }
 
