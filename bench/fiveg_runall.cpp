@@ -4,6 +4,7 @@
 //
 // stdout is byte-identical for any --jobs value at the same seed; timing
 // goes to stderr.
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +43,7 @@ options:
   --seed N      base seed; every experiment runs on its own fork (default 42)
   --filter S    only experiments whose name contains the substring S
   --smoke       only the fast smoke-tier experiments (CI per-commit tier)
-  --timeout S   per-experiment wall-clock cap in seconds, 0 = off
+  --timeout S   per-experiment wall-clock cap in finite seconds, 0 = off
                 (default 600); a hung experiment is reported, not fatal
   --json PATH   also write machine-readable results to PATH ('-' = stdout,
                 which suppresses the text tables)
@@ -65,10 +66,8 @@ options:
                 the current seed, and keep appending to it; the merged
                 output is byte-identical to an uninterrupted campaign.
                 Incompatible with --trace (ledgers carry no event traces)
-  --progress    heartbeat line on stderr every few seconds with
-                done/failed/running counts and an ETA from ledger history
-  --progress-period S
-                heartbeat period in seconds (default 2)
+  --progress    heartbeat line on stderr every 2 s with done/failed/
+                running counts and an ETA from ledger history
   --store DIR   append one fiveg-rs/v1 columnar record per completed run to
                 DIR/shard-<k>-of-<n>.fgrs (compact binary; merge and query
                 with tools/fiveg_query). Composes with --ledger/--resume:
@@ -104,10 +103,11 @@ bool parse_int(const char* s, int* out) {
   return end != s && *end == '\0';
 }
 
+// Finite values only: "inf" and "nan" are rejected like any non-number.
 bool parse_double(const char* s, double* out) {
   char* end = nullptr;
   *out = std::strtod(s, &end);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && std::isfinite(*out);
 }
 
 // Opens (creating the directory if needed) this invocation's shard file
@@ -366,12 +366,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--progress") {
       opt.progress = true;
-    } else if (arg == "--progress-period") {
-      if (!parse_double(need_value(), &opt.progress_period_s) ||
-          opt.progress_period_s <= 0) {
-        std::cerr << "bad --progress-period value\n";
-        return 2;
-      }
     } else if (arg == "--metrics") {
       print_metrics = true;
     } else if (arg == "--no-timing") {

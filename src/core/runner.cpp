@@ -8,13 +8,12 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
-
-#include <optional>
 
 #include "core/ledger.h"
 #include "core/store.h"
@@ -34,6 +33,23 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+// The heartbeat period of RunnerOptions::progress.
+constexpr std::chrono::seconds kProgressPeriod{2};
+
+// A per-experiment cap as a clock duration, or nullopt for "no limit":
+// 0 (or any non-positive or NaN value) means no limit, and so does a cap
+// too large for the clock to represent — waiting that long would overflow
+// the wait's deadline and time the run out at once instead.
+std::optional<Clock::duration> timeout_duration(double timeout_s) {
+  const std::chrono::duration<double> headroom =
+      Clock::time_point::max() - Clock::now();
+  if (!(timeout_s > 0 && timeout_s < 0.5 * headroom.count())) {
+    return std::nullopt;
+  }
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(timeout_s));
 }
 
 // Shared between the worker and the (possibly abandoned) experiment thread.
@@ -182,7 +198,9 @@ ExperimentResult Runner::run_one(const std::string& name) const {
                             opt_.trace_capacity, opt_.faults,
                             split_sim_threads(opt_)};
   const auto start = Clock::now();
-  if (opt_.timeout_s <= 0) {
+  const std::optional<Clock::duration> timeout =
+      timeout_duration(opt_.timeout_s);
+  if (!timeout) {
     execute(*exp, res.seed, *state, obs_opt);
     res.wall_ms = ms_since(start);
     res.text = state->out.str();
@@ -201,9 +219,8 @@ ExperimentResult Runner::run_one(const std::string& name) const {
   });
 
   std::unique_lock<std::mutex> lock(state->mu);
-  const bool finished = state->cv.wait_for(
-      lock, std::chrono::duration<double>(opt_.timeout_s),
-      [&] { return state->done; });
+  const bool finished =
+      state->cv.wait_for(lock, *timeout, [&] { return state->done; });
   if (finished) {
     lock.unlock();
     worker.join();
@@ -354,13 +371,10 @@ RunSummary Runner::run() const {
   std::condition_variable hb_cv;
   bool hb_stop = false;
   if (opt_.progress && !names.empty()) {
-    const double period = opt_.progress_period_s > 0 ? opt_.progress_period_s
-                                                     : 2.0;
-    heartbeat = std::thread([&, period] {
+    heartbeat = std::thread([&] {
       std::unique_lock<std::mutex> lock(hb_mu);
       for (;;) {
-        if (hb_cv.wait_for(lock, std::chrono::duration<double>(period),
-                           [&] { return hb_stop; })) {
+        if (hb_cv.wait_for(lock, kProgressPeriod, [&] { return hb_stop; })) {
           return;
         }
         print_heartbeat(progress, names.size(), jobs, std::cerr);

@@ -42,7 +42,9 @@ struct RunnerOptions {
   // non-empty, exactly these experiments run — filter/smoke_only still
   // apply on top, and names unknown to the registry are ignored.
   std::vector<std::string> only_names;
-  double timeout_s = 0;      // per-experiment wall-clock cap; 0 = unlimited
+  // Per-experiment wall-clock cap; 0 (or a cap too large for the clock)
+  // = unlimited.
+  double timeout_s = 0;
   // Observability: each experiment runs under its own obs::Scope. Metrics
   // fill ExperimentResult::counters/profile; tracing additionally buffers
   // an event trace per experiment (ExperimentResult::trace).
@@ -69,12 +71,11 @@ struct RunnerOptions {
   // backfills exactly the store records a crash lost and no more.
   std::shared_ptr<StoreWriter> store;
   std::vector<std::pair<std::string, std::string>> store_labels;
-  // Live telemetry: a heartbeat line on stderr every `progress_period_s`
-  // (done/failed/running counts plus an ETA extrapolated from completed
-  // wall_ms history, seeded by the resume set's recorded timings). stderr
-  // only — stdout stays byte-identical with or without it.
+  // Live telemetry: a heartbeat line on stderr every 2 s (done/failed/
+  // running counts plus an ETA extrapolated from completed wall_ms
+  // history, seeded by the resume set's recorded timings). stderr only —
+  // stdout stays byte-identical with or without it.
   bool progress = false;
-  double progress_period_s = 2.0;
 };
 
 /// Outcome of a whole campaign. `results` is sorted by experiment name,

@@ -44,7 +44,7 @@ Link::Link(sim::Simulator* simulator, Config config, PacketSink* sink)
     if (config_.qdisc.kind != QdiscKind::kDropTail) {
       // AQM runs additionally break drops/marks out per discipline, so a
       // sweep over qdiscs lands each variant on its own labelled series.
-      const std::string qd(qdisc_->kind_name());
+      const std::string qd(to_string(config_.qdisc.kind));
       qdisc_drops_ctr_ = &m->counter(
           "net.qdisc.drops", {{"link", config_.name}, {"qdisc", qd}});
       qdisc_marks_ctr_ = &m->counter(

@@ -28,6 +28,10 @@ double seconds_since(WallClock::time_point start) {
 
 constexpr Time kNever = std::numeric_limits<Time>::max();
 
+// Below this lookahead the partitions couple too tightly for windows to
+// amortise barrier cost; ParSim falls back to the inline schedule.
+constexpr Time kMinParallelLookahead = 100 * kMicrosecond;
+
 Time saturating_add(Time a, Time b) noexcept {
   return a > kNever - b ? kNever : a + b;
 }
@@ -131,8 +135,7 @@ ParSim::ParSim(const ParSimConfig& config) : config_(config) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
   }
   threads = std::clamp(threads, 1, config_.lanes);
-  if (config_.lanes == 1 ||
-      config_.lookahead < config_.min_parallel_lookahead) {
+  if (config_.lanes == 1 || config_.lookahead < kMinParallelLookahead) {
     threads = 1;
   }
   effective_threads_ = threads;

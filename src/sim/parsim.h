@@ -27,8 +27,8 @@
 // KPIs, traces and goldens.
 //
 // Fallback rule: when the scenario gives no parallel structure (a single
-// lane, a lookahead below `min_parallel_lookahead`, or threads <= 1) no
-// worker pool is created and the same canonical schedule runs inline.
+// lane, a lookahead below 100 us, or threads <= 1) no worker pool is
+// created and the same canonical schedule runs inline.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +54,6 @@ struct ParSimConfig {
   /// Conservative cross-lane influence bound: a send() from inside a lane
   /// must target a time >= sender now + lookahead. Clamped to >= 1 ns.
   Time lookahead = kMillisecond;
-  /// Below this lookahead the partitions couple too tightly for windows
-  /// to amortise barrier cost; ParSim falls back to the inline schedule.
-  Time min_parallel_lookahead = 100 * kMicrosecond;
 };
 
 /// Handle for a cross-lane event, usable with ParSim::cancel from any

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "net/aqm.h"
@@ -16,6 +17,7 @@
 #include "net/topology.h"
 #include "net/traceroute.h"
 #include "net/udp.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace fiveg::net {
@@ -394,7 +396,7 @@ INSTANTIATE_TEST_SUITE_P(Loads, ConservationTest,
 // --- queue disciplines (aqm.h) ---
 
 TEST(DropTailQdiscTest, DropsWhenFullFifo) {
-  DropTailQdisc q(3000);
+  DropTailQdisc q(QdiscConfig{}, 3000);
   EXPECT_TRUE(q.push(make_packet(1, 0, 1500), 0));
   EXPECT_TRUE(q.push(make_packet(1, 1, 1500), 0));
   EXPECT_FALSE(q.push(make_packet(1, 2, 1500), 0));  // 4500 > 3000
@@ -414,9 +416,7 @@ TEST(CoDelControlLawTest, DropSpacingShrinksAsSqrtOfCount) {
   // Keep the sojourn pinned far above target and record when each drop
   // happens: the control law schedules drop n at interval/sqrt(n) after
   // its predecessor, so the gaps must shrink.
-  CoDelQueue::Config cfg;
-  cfg.capacity_bytes = 64 * 1024 * 1024;
-  CoDelQueue q(cfg);
+  CoDelQueue q(QdiscConfig{}, 64 * 1024 * 1024);
   sim::Time now = 0;
   std::uint64_t pushed = 0;
   std::vector<sim::Time> drop_times;
@@ -442,10 +442,9 @@ TEST(CoDelControlLawTest, DropSpacingShrinksAsSqrtOfCount) {
 }
 
 TEST(CoDelEcnTest, MarksEctInsteadOfDropping) {
-  CoDelQueue::Config cfg;
-  cfg.capacity_bytes = 64 * 1024 * 1024;
+  QdiscConfig cfg;
   cfg.ecn = true;
-  CoDelQueue q(cfg);
+  CoDelQueue q(cfg, 64 * 1024 * 1024);
   sim::Time now = 0;
   std::uint64_t pushed = 0, popped = 0, ce = 0;
   for (int i = 0; i < 2000; ++i) {
@@ -466,19 +465,21 @@ TEST(CoDelEcnTest, MarksEctInsteadOfDropping) {
   EXPECT_EQ(popped + q.size_packets(), pushed);
 }
 
+// Any fixed seed for RED's private drop stream.
+constexpr std::uint64_t kRedSeed = 0x8ed;
+
 TEST(RedQueueTest, ThresholdsGateEarlyDrops) {
-  RedQueue::Config cfg;
-  cfg.capacity_bytes = 200 * 1500;
-  cfg.min_bytes = 15 * 1500;
-  cfg.max_bytes = 45 * 1500;
-  cfg.weight = 0.5;  // fast EWMA so the test tracks the true depth
-  RedQueue q(cfg);
+  QdiscConfig cfg;
+  cfg.red_min_bytes = 15 * 1500;
+  cfg.red_max_bytes = 45 * 1500;
+  cfg.red_weight = 0.5;  // fast EWMA so the test tracks the true depth
+  RedQueue q(cfg, 200 * 1500, kRedSeed);
   // Below min: every arrival accepted, count stays reset.
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(q.push(make_packet(1, i, 1500), 0));
   }
   EXPECT_EQ(q.drops(), 0u);
-  EXPECT_LT(q.avg_bytes(), static_cast<double>(cfg.min_bytes));
+  EXPECT_LT(q.avg_bytes(), static_cast<double>(cfg.red_min_bytes));
   // Keep filling without draining: between min and max some arrivals are
   // shed early; past max every arrival is dropped.
   std::uint64_t accepted = 10;
@@ -487,7 +488,7 @@ TEST(RedQueueTest, ThresholdsGateEarlyDrops) {
   }
   EXPECT_GT(q.drops(), 0u);
   EXPECT_LT(accepted, 120u);
-  EXPECT_GT(q.avg_bytes(), static_cast<double>(cfg.max_bytes));
+  EXPECT_GT(q.avg_bytes(), static_cast<double>(cfg.red_max_bytes));
   const std::uint64_t drops_at_max = q.drops();
   for (int i = 120; i < 140; ++i) {
     EXPECT_FALSE(q.push(make_packet(1, i, 1500), 0));  // forced region
@@ -496,13 +497,12 @@ TEST(RedQueueTest, ThresholdsGateEarlyDrops) {
 }
 
 TEST(RedQueueTest, EcnMarksEarlyButStillDropsAtMax) {
-  RedQueue::Config cfg;
-  cfg.capacity_bytes = 200 * 1500;
-  cfg.min_bytes = 15 * 1500;
-  cfg.max_bytes = 45 * 1500;
-  cfg.weight = 0.5;
+  QdiscConfig cfg;
+  cfg.red_min_bytes = 15 * 1500;
+  cfg.red_max_bytes = 45 * 1500;
+  cfg.red_weight = 0.5;
   cfg.ecn = true;
-  RedQueue q(cfg);
+  RedQueue q(cfg, 200 * 1500, kRedSeed);
   for (int i = 0; i < 140; ++i) {
     Packet p = make_packet(1, i, 1500);
     p.ect = true;
@@ -515,9 +515,7 @@ TEST(RedQueueTest, EcnMarksEarlyButStillDropsAtMax) {
 }
 
 TEST(FqCoDelTest, IsolatesSparseFlowFromBulkFlow) {
-  FqCoDelQueue::Config cfg;
-  cfg.capacity_bytes = 64 * 1024 * 1024;
-  FqCoDelQueue q(cfg);
+  FqCoDelQueue q(QdiscConfig{}, 64 * 1024 * 1024);
   // Two flow ids in distinct buckets.
   const std::uint32_t bulk = 1;
   std::uint32_t sparse = 2;
@@ -549,6 +547,54 @@ TEST(FqCoDelTest, IsolatesSparseFlowFromBulkFlow) {
   EXPECT_GT(q.drops(), 0u);              // the bulk flow is being policed
   EXPECT_EQ(sparse_delivered, sparse_seq);
   EXPECT_LT(worst_sparse_sojourn, from_millis(20));
+}
+
+TEST(CoDelLawTest, OneBucketFqCoDelMatchesCoDel) {
+  // FQ-CoDel with a single bucket runs the same CoDel law as CoDelQueue,
+  // so on one random push/pop trace — alternating overload and light
+  // phases, mixed sizes, mixed ECT — both must agree step for step.
+  for (const bool ecn : {false, true}) {
+    QdiscConfig cfg;
+    cfg.ecn = ecn;
+    cfg.flows = 1;
+    CoDelQueue codel(cfg, 256 * 1024);
+    FqCoDelQueue fq(cfg, 256 * 1024);
+    sim::Rng rng(ecn ? 7 : 42);
+    sim::Time now = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t delivered = 0;
+    for (int step = 0; step < 150000; ++step) {
+      now += from_millis(1);
+      const std::int64_t max_arrivals = (step / 1000) % 2 == 0 ? 3 : 1;
+      for (std::int64_t k = rng.uniform_int(0, max_arrivals); k > 0; --k) {
+        const auto flow = static_cast<std::uint32_t>(rng.uniform_int(1, 8));
+        const auto bytes =
+            static_cast<std::uint32_t>(rng.uniform_int(200, 1500));
+        Packet p = make_packet(flow, seq++, bytes);
+        p.ect = rng.bernoulli(0.7);
+        ASSERT_EQ(codel.push(p, now), fq.push(p, now)) << "step " << step;
+      }
+      const std::optional<Packet> a = codel.pop(now);
+      const std::optional<Packet> b = fq.pop(now);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+      if (a) {
+        ++delivered;
+        ASSERT_EQ(a->seq, b->seq) << "step " << step;
+        ASSERT_EQ(a->ce, b->ce) << "step " << step;
+      }
+      ASSERT_EQ(codel.drops(), fq.drops()) << "step " << step;
+      ASSERT_EQ(codel.marks(), fq.marks()) << "step " << step;
+      ASSERT_EQ(codel.last_sojourn(), fq.last_sojourn()) << "step " << step;
+      ASSERT_EQ(codel.size_bytes(), fq.size_bytes()) << "step " << step;
+    }
+    // The trace exercised the law: it shed (marks with ECN, drops always,
+    // since non-ECT packets are dropped) and delivered most packets.
+    EXPECT_GT(codel.drops(), 100u);
+    if (ecn) {
+      EXPECT_GT(codel.marks(), 100u);
+    }
+    EXPECT_GT(delivered, 100000u);
+  }
 }
 
 TEST(QdiscSpecTest, ParsesKindsAndEcnSuffix) {

@@ -186,6 +186,18 @@ TEST(RunnerTest, HungExperimentTimesOutGracefully) {
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
 }
 
+TEST(RunnerTest, TimeoutBeyondClockRangeMeansNoLimit) {
+  // 1e10 s does not fit the steady clock's nanosecond range: waiting on it
+  // must not overflow into an instant timeout. The run completes.
+  ExperimentRegistry reg;
+  reg.add([] { return std::make_unique<HangingExperiment>(); });
+  RunnerOptions opt;
+  opt.timeout_s = 1e10;
+  const RunSummary s = Runner(opt, &reg).run();
+  ASSERT_EQ(s.results.size(), 1u);
+  EXPECT_EQ(s.results[0].status, RunStatus::kOk) << s.results[0].error;
+}
+
 TEST(RunnerTest, SmokeTierOfRealRegistryIsNonEmpty) {
   RunnerOptions opt;
   opt.smoke_only = true;
