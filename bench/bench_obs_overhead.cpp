@@ -67,7 +67,7 @@ int main() {
   const double disabled = median_rate(kEvents, kReps);
 
   // Profiled path: same workload under a metrics scope, as installed by
-  // the Runner when a campaign collects metrics / writes a ledger.
+  // the Runner when a campaign collects metrics.
   double profiled = 0;
   {
     fiveg::obs::MetricsRegistry registry;

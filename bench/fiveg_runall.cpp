@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/ledger.h"
 #include "core/runner.h"
 #include "core/scenario.h"
 #include "core/store.h"
@@ -60,18 +59,18 @@ options:
                 droptail (default), codel, fq_codel or red, with an
                 optional +ecn suffix (e.g. codel+ecn). Experiments that
                 pin their own qdisc (the AQM sweeps) are unaffected.
-  --ledger PATH append one fiveg-ledger/v1 JSONL record per completed run
-                (crash-safe; feeds --resume and tools/fiveg_prof)
-  --resume PATH reload the ledger at PATH, skip every run it already has at
-                the current seed, and keep appending to it; the merged
-                output is byte-identical to an uninterrupted campaign.
-                Incompatible with --trace (ledgers carry no event traces)
+  --resume DIR  resume a campaign from its --store directory DIR: every
+                run DIR already holds with status ok at the current seed
+                (and, under --manifest, in the same cell) is spliced in
+                instead of re-run, and new runs keep appending to DIR
+                (implies --store DIR); the merged output is byte-identical
+                to an uninterrupted campaign. Incompatible with --trace
+                (stored runs carry no event traces)
   --progress    heartbeat line on stderr every 2 s with done/failed/
-                running counts and an ETA from ledger history
+                running counts and an ETA from completed and stored runs
   --store DIR   append one fiveg-rs/v1 columnar record per completed run to
-                DIR/shard-<k>-of-<n>.fgrs (compact binary; merge and query
-                with tools/fiveg_query). Composes with --ledger/--resume:
-                resumed runs backfill their store records idempotently
+                DIR/shard-<k>-of-<n>.fgrs (compact, crash-safe binary; feeds
+                --resume, tools/fiveg_query and tools/fiveg_prof)
   --manifest PATH
                 run the fiveg-campaign/v1 parameter grid at PATH (seeds x
                 qdisc x fault plans), cells sequentially at their own
@@ -135,14 +134,27 @@ std::shared_ptr<fiveg::core::StoreWriter> open_store(
   return store;
 }
 
+// Points `opt` at the runs the --resume store already holds for its cell
+// (its base seed and store labels).
+void splice_resume(const std::vector<fiveg::core::StoreRecord>& stored,
+                   fiveg::core::RunnerOptions* opt) {
+  auto completed = std::make_shared<
+      const std::map<std::string, fiveg::core::ExperimentResult>>(
+      fiveg::core::completed_runs(stored, opt->seed, opt->store_labels));
+  std::cerr << "fiveg_runall: resuming: " << completed->size()
+            << " run(s) already complete\n";
+  opt->resume = std::move(completed);
+}
+
 // Manifest mode: expand the parameter grid, take this shard's units, and
 // run cell by cell (sequentially — the qdisc default and fault plan are
-// campaign-wide globals within one cell). Cells share one ledger and one
-// store shard file; each runs at its own derived base seed, so resume
-// records never cross cells.
+// campaign-wide globals within one cell). Cells share one store shard
+// file; each runs at its own derived base seed and labels, so resume
+// records never cross cells. `resume` is null unless --resume was given.
 int run_manifest(const std::string& manifest_path,
                  const fiveg::core::RunnerOptions& base_opt,
-                 const std::string& resume_path, const std::string& store_dir,
+                 const std::vector<fiveg::core::StoreRecord>* resume,
+                 const std::string& store_dir,
                  std::size_t shard_k, std::size_t shard_n, bool quiet,
                  bool print_metrics, bool include_timing, bool list_only) {
   fiveg::core::CampaignManifest manifest;
@@ -186,26 +198,6 @@ int run_manifest(const std::string& manifest_path,
   }
 
   fiveg::core::RunnerOptions base = base_opt;
-  std::unique_ptr<fiveg::core::LedgerLoad> resume_load;
-  if (!resume_path.empty()) {
-    fiveg::core::LedgerLoad load = fiveg::core::load_ledger(resume_path);
-    if (!load.ok()) {
-      std::cerr << load.error << "\n";
-      return 2;
-    }
-    if (load.dropped_lines > 0 || load.corrupt_records > 0 ||
-        load.truncated_tail) {
-      std::cerr << "fiveg_runall: ledger " << resume_path << ": skipped "
-                << load.dropped_lines << " unparseable line(s), "
-                << load.corrupt_records << " corrupt record(s)"
-                << (load.truncated_tail ? ", torn final line" : "")
-                << "; those runs will re-run\n";
-    }
-    resume_load =
-        std::make_unique<fiveg::core::LedgerLoad>(std::move(load));
-    if (base.ledger_path.empty()) base.ledger_path = resume_path;
-  }
-
   if (!store_dir.empty()) {
     base.store = open_store(store_dir, shard_k, shard_n);
     if (base.store == nullptr) return 2;
@@ -237,13 +229,9 @@ int run_manifest(const std::string& manifest_path,
       return 2;
     }
     fiveg::core::set_campaign_bottleneck_qdisc(qdisc);
-    if (resume_load != nullptr) {
-      opt.resume = std::make_shared<
-          const std::map<std::string, fiveg::core::ExperimentResult>>(
-          fiveg::core::completed_runs(*resume_load, opt.seed));
-    }
     std::cerr << "fiveg_runall: cell seed=" << cell.axis_seed << ";"
               << cell.tag() << ": " << per_cell[i].size() << " run(s)\n";
+    if (resume != nullptr) splice_resume(*resume, &opt);
     const fiveg::core::RunSummary summary = fiveg::core::Runner(opt).run();
     all_ok = all_ok && summary.all_ok();
     merged.wall_ms += summary.wall_ms;
@@ -349,8 +337,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       fiveg::core::set_campaign_bottleneck_qdisc(qdisc);
-    } else if (arg == "--ledger") {
-      opt.ledger_path = need_value();
     } else if (arg == "--resume") {
       resume_path = need_value();
     } else if (arg == "--store") {
@@ -383,6 +369,36 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<fiveg::core::StoreRecord> stored;
+  if (!resume_path.empty()) {
+    if (!store_dir.empty() && store_dir != resume_path) {
+      std::cerr << "--resume DIR keeps appending to DIR; --store must name "
+                   "the same directory\n";
+      return 2;
+    }
+    if (opt.trace) {
+      // Store records carry the full result but not the event trace, so a
+      // resumed campaign cannot reconstruct a complete merged trace.
+      std::cerr << "--resume cannot be combined with --trace\n";
+      return 2;
+    }
+    store_dir = resume_path;
+    fiveg::core::StoreDirLoad load = fiveg::core::load_store_dir(resume_path);
+    if (!load.ok()) {
+      std::cerr << load.error << "\n";
+      return 2;
+    }
+    if (load.torn_files > 0 || load.dropped_records > 0) {
+      std::cerr << "fiveg_runall: store " << resume_path << ": "
+                << load.torn_files << " torn shard tail(s), "
+                << load.dropped_records
+                << " undecodable record(s); those runs will re-run\n";
+    }
+    stored = std::move(load.records);
+  }
+  const std::vector<fiveg::core::StoreRecord>* resume =
+      resume_path.empty() ? nullptr : &stored;
+
   if (!manifest_path.empty()) {
     if (seed_set || filter_set || smoke_set) {
       std::cerr << "--manifest supplies seed/filter/smoke; drop the "
@@ -394,7 +410,7 @@ int main(int argc, char** argv) {
                    "export merged JSON with fiveg_query\n";
       return 2;
     }
-    return run_manifest(manifest_path, opt, resume_path, store_dir, shard_k,
+    return run_manifest(manifest_path, opt, resume, store_dir, shard_k,
                         shard_n, quiet, print_metrics, include_timing,
                         list_only);
   }
@@ -417,37 +433,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!resume_path.empty()) {
-    if (opt.trace) {
-      // Ledger records carry the full result but not the event trace, so a
-      // resumed campaign cannot reconstruct a complete merged trace.
-      std::cerr << "--resume cannot be combined with --trace\n";
-      return 2;
-    }
-    const fiveg::core::LedgerLoad load =
-        fiveg::core::load_ledger(resume_path);
-    if (!load.ok()) {
-      std::cerr << load.error << "\n";
-      return 2;
-    }
-    if (load.dropped_lines > 0 || load.corrupt_records > 0 ||
-        load.truncated_tail) {
-      std::cerr << "fiveg_runall: ledger " << resume_path << ": skipped "
-                << load.dropped_lines << " unparseable line(s), "
-                << load.corrupt_records << " corrupt record(s)"
-                << (load.truncated_tail ? ", torn final line" : "")
-                << "; those runs will re-run\n";
-    }
-    auto completed = std::make_shared<
-        const std::map<std::string, fiveg::core::ExperimentResult>>(
-        fiveg::core::completed_runs(load, opt.seed));
-    std::cerr << "fiveg_runall: resuming from " << resume_path << ": "
-              << completed->size() << " run(s) already complete\n";
-    opt.resume = std::move(completed);
-    // Keep appending to the same ledger so a second interruption resumes
-    // from the union.
-    if (opt.ledger_path.empty()) opt.ledger_path = resume_path;
-  }
+  if (resume != nullptr) splice_resume(*resume, &opt);
 
   if (!store_dir.empty() && !list_only) {
     opt.store = open_store(store_dir, shard_k, shard_n);

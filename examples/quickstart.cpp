@@ -34,8 +34,9 @@ int main() {
   bed.start_cross_traffic(20 * sim::kSecond);
 
   // 3. A BBR bulk flow, cloud -> UE.
-  app::TcpSession session(&simr, &bed.path(), &bed.fanout(),
-                          tcp::TcpConfig{.algo = tcp::CcAlgo::kBbr});
+  tcp::TcpConfig bbr;
+  bbr.algo = tcp::CcAlgo::kBbr;
+  app::TcpSession session(&simr, &bed.path(), &bed.fanout(), bbr);
   session.sender().start_bulk();
   simr.run_until(15 * sim::kSecond);
 

@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
     udp.start(10 * sim::kSecond);
 
     // TCP bulk with BBR.
-    app::TcpSession tcp_session(&simr, &bed.path(), &bed.fanout(),
-                                tcp::TcpConfig{.algo = tcp::CcAlgo::kBbr},
+    tcp::TcpConfig bbr;
+    bbr.algo = tcp::CcAlgo::kBbr;
+    app::TcpSession tcp_session(&simr, &bed.path(), &bed.fanout(), bbr,
                                 /*flow_id=*/2);
     tcp_session.sender().start_bulk();
 

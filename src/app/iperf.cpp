@@ -5,6 +5,7 @@ namespace fiveg::app {
 TcpSession::TcpSession(sim::Simulator* simulator, net::PathNetwork* path,
                        PathFanout* fanout, tcp::TcpConfig config,
                        std::uint32_t flow_id) {
+  config.ecn = config.ecn || fanout->ecn;
   sender_ = std::make_unique<tcp::TcpSender>(
       simulator, config, flow_id,
       [path](net::Packet p) { path->send_a_to_b(std::move(p)); });

@@ -17,14 +17,17 @@ namespace fiveg::app {
 
 /// Fan-out sinks at both ends of a path, so several flows (and cross
 /// traffic) can coexist; each endpoint filters by flow id. Construct one
-/// per path, before any session.
+/// per path, before any session. With `ecn` set, every TcpSession on the
+/// path negotiates ECN (core::Testbed sets it from its bottleneck qdisc).
 struct PathFanout {
-  explicit PathFanout(net::PathNetwork* path) {
+  explicit PathFanout(net::PathNetwork* path, bool ecn_capable = false)
+      : ecn(ecn_capable) {
     path->attach_a(&a);
     path->attach_b(&b);
   }
   net::FanoutSink a;
   net::FanoutSink b;
+  bool ecn = false;
 };
 
 /// A TCP connection strung across a path: A-side sender, B-side receiver.

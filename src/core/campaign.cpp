@@ -21,7 +21,7 @@ bool axis_error(std::string* error, const std::string& msg) {
 }
 
 // An axis value that is a seed: a JSON number (exact up to 2^53) or a
-// decimal string (full 64-bit range, same convention as the ledger).
+// decimal string (full 64-bit range).
 bool parse_seed_value(const JsonValue& v, std::uint64_t* out) {
   if (v.is(JsonValue::Type::kNumber)) {
     if (v.number < 0 || v.number != static_cast<double>(

@@ -23,8 +23,8 @@
 // value (seed 42, qdisc "droptail", no fault plan). Cells are the cross
 // product in seed-major order. Each cell runs at its own base seed,
 // derived by forking the axis seed with the cell's parameter tag —
-// two cells that differ only in qdisc therefore never collide in the
-// (name, seed)-keyed ledger, and re-running any shard is idempotent.
+// two cells that differ only in qdisc therefore never collide at one
+// (name, seed), and re-running any shard is idempotent.
 //
 // The work unit of sharding is (cell, experiment), not cell: units are
 // enumerated in canonical order and unit i belongs to shard i mod N, so
@@ -55,8 +55,8 @@ struct CampaignCell {
 
   /// The base seed this cell's experiments fork from:
   /// Rng(axis_seed).fork(tag()).seed(). Distinct for every cell of a
-  /// campaign, so ledger records (keyed by experiment name + seed) from
-  /// different cells never satisfy each other's resume checks.
+  /// campaign, so store records from different cells never satisfy each
+  /// other's resume checks.
   [[nodiscard]] std::uint64_t base_seed() const;
 
   /// The store labels identifying this cell: {"faults", ...},

@@ -40,8 +40,9 @@ class BufferSizingAblation final : public Experiment {
           static_cast<std::uint64_t>(base * scale);
       Testbed bed(&simr, opt, ctx.seed);
       bed.start_cross_traffic(30 * kSecond);
-      app::TcpSession session(&simr, &bed.path(), &bed.fanout(),
-                              tcp::TcpConfig{.algo = tcp::CcAlgo::kCubic});
+      tcp::TcpConfig cfg;
+      cfg.algo = tcp::CcAlgo::kCubic;
+      app::TcpSession session(&simr, &bed.path(), &bed.fanout(), cfg);
       session.sender().start_bulk();
       simr.run_until(25 * kSecond);
       const double util =

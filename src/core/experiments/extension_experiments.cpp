@@ -129,8 +129,9 @@ class MecExperiment final : public Experiment {
       }
       simr.run_until(2 * kSecond);
       // 8 MB fetch over BBR.
-      app::TcpSession session(&simr, &bed.path(), &bed.fanout(),
-                              tcp::TcpConfig{.algo = tcp::CcAlgo::kBbr});
+      tcp::TcpConfig cfg;
+      cfg.algo = tcp::CcAlgo::kBbr;
+      app::TcpSession session(&simr, &bed.path(), &bed.fanout(), cfg);
       const sim::Time start = simr.now();
       sim::Time done_at = 0;
       session.sender().send_bytes(8 << 20,
@@ -359,8 +360,9 @@ class MultipathExperiment final : public Experiment {
       opt.cross_traffic = false;
       opt.ran_blocked_fn = [&blocked] { return blocked; };
       Testbed bed(&simr, opt, ctx.seed);
-      app::TcpSession s(&simr, &bed.path(), &bed.fanout(),
-                        tcp::TcpConfig{.algo = tcp::CcAlgo::kBbr});
+      tcp::TcpConfig cfg;
+      cfg.algo = tcp::CcAlgo::kBbr;
+      app::TcpSession s(&simr, &bed.path(), &bed.fanout(), cfg);
       sim::Time done = 0;
       s.sender().send_bytes(200 << 20, [&] { done = simr.now(); });
       if (outage_len > 0) {

@@ -247,8 +247,9 @@ class Fig12Experiment final : public Experiment {
         return engine.data_interrupted(simr.now());
       };
       Testbed bed(&simr, opt, ctx.seed + 100 + w);
-      app::TcpSession session(&simr, &bed.path(), &bed.fanout(),
-                              tcp::TcpConfig{.algo = tcp::CcAlgo::kBbr});
+      tcp::TcpConfig cfg;
+      cfg.algo = tcp::CcAlgo::kBbr;
+      app::TcpSession session(&simr, &bed.path(), &bed.fanout(), cfg);
       session.sender().start_bulk();
       simr.run_until(5 * sim::kMinute);
 

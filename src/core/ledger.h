@@ -1,93 +1,24 @@
-// Campaign run ledger (schema "fiveg-ledger/v1"): one JSONL record per
-// completed experiment run, appended crash-safely as each run finishes. The
-// ledger is what makes large sweeps resumable — `fiveg_runall --resume`
-// reloads it, skips every run that already completed at the right seed, and
-// still emits a byte-identical merged campaign document, because each
-// record carries the *full-fidelity* ExperimentResult (every metric series,
-// every counter snapshot, the captured text) rather than a summary.
-//
-// Records are self-validating: a checksum over the deterministic subset of
-// the result (name, seed, status, error, text, metrics, counters — never
-// wall-clock fields) detects torn or corrupted records, which are dropped
-// and simply re-run on resume. A truncated final line — the expected
-// artifact of a killed campaign — is tolerated by design.
+// Forwarding shim kept for one caller, the repo benchmark's smoke_campaign
+// workload (perfbench/src/workload_smoke.cpp). The run log is the
+// columnar store (core/store.h); the benchmark change that moves that
+// call to StoreWriter deletes this header.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <vector>
 
-#include "core/experiment.h"
+#include "core/store.h"
 
 namespace fiveg::core {
 
-inline constexpr std::string_view kLedgerSchema = "fiveg-ledger/v1";
-
-/// The checksummed deterministic core of one result, serialized as compact
-/// JSON. Wall-clock fields (wall_ms, peak_rss_kb, profile) are excluded, so
-/// the checksum of a re-run at the same seed matches the original record.
-[[nodiscard]] std::string ledger_core_json(const ExperimentResult& r);
-
-/// FNV-1a 64-bit checksum of the deterministic core, as 16 lowercase hex
-/// digits.
-[[nodiscard]] std::string ledger_checksum(const ExperimentResult& r);
-
-/// One full ledger record: a single line of compact JSON (schema, checksum,
-/// wall-clock fields, profile summary, and the full result payload),
-/// terminated by '\n'.
-[[nodiscard]] std::string ledger_line(const ExperimentResult& r);
-
-/// Outcome of loading a ledger file.
-struct LedgerLoad {
-  std::vector<ExperimentResult> records;  // valid records, file order
-  std::size_t dropped_lines = 0;    // unparseable / wrong-schema lines
-  std::size_t corrupt_records = 0;  // parsed but failed checksum
-  bool truncated_tail = false;      // final line torn (killed mid-append)
-  std::string error;                // I/O-level failure; empty when loadable
-  [[nodiscard]] bool ok() const { return error.empty(); }
-};
-
-/// Parses ledger text. Invalid interior lines and checksum failures are
-/// counted and skipped, never fatal; a torn final line sets
-/// `truncated_tail`. An empty file is a valid, empty ledger.
-[[nodiscard]] LedgerLoad parse_ledger(std::string_view text);
-
-/// Reads and parses a ledger file. A missing file is an error (use an
-/// empty file — or no --resume — to start fresh).
-[[nodiscard]] LedgerLoad load_ledger(const std::string& path);
-
-/// The resume set: name -> result for every record that completed with
-/// status ok *and* whose recorded seed matches the per-experiment fork of
-/// `base_seed` (a ledger from a different --seed never satisfies a resume).
-/// When an experiment appears more than once, the last record wins.
-[[nodiscard]] std::map<std::string, ExperimentResult> completed_runs(
-    const LedgerLoad& load, std::uint64_t base_seed);
-
-/// Append-only ledger writer. Each append serializes the record and hands
-/// the whole line to the OS in one O_APPEND write(), so a killed campaign
-/// can tear at most the final line and concurrent workers never interleave
-/// bytes. Thread-safe.
 class LedgerWriter {
  public:
-  /// Opens (creating if needed) `path` for appending.
-  explicit LedgerWriter(const std::string& path);
-  LedgerWriter(const LedgerWriter&) = delete;
-  LedgerWriter& operator=(const LedgerWriter&) = delete;
-  ~LedgerWriter();
-
-  [[nodiscard]] bool ok() const { return error_.empty(); }
-  [[nodiscard]] const std::string& error() const { return error_; }
-
-  /// Appends one record; false (with error() set) on I/O failure.
-  bool append(const ExperimentResult& r);
+  explicit LedgerWriter(const std::string& path) : store_(path) {}
+  [[nodiscard]] bool ok() const { return store_.ok(); }
+  [[nodiscard]] const std::string& error() const { return store_.error(); }
+  bool append(const ExperimentResult& r) { return store_.append({r, {}}); }
 
  private:
-  int fd_ = -1;
-  std::mutex mu_;
-  std::string error_;
+  StoreWriter store_;
 };
 
 }  // namespace fiveg::core

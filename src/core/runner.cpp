@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -15,7 +14,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/ledger.h"
 #include "core/store.h"
 #include "fault/fault.h"
 #include "measure/json.h"
@@ -307,16 +305,6 @@ RunSummary Runner::run() const {
   jobs = std::min<int>(jobs, static_cast<int>(names.size()));
   jobs = std::max(jobs, 1);
 
-  std::unique_ptr<LedgerWriter> ledger;
-  if (!opt_.ledger_path.empty()) {
-    ledger = std::make_unique<LedgerWriter>(opt_.ledger_path);
-    if (!ledger->ok()) {
-      std::fprintf(stderr, "fiveg_runall: %s (continuing without ledger)\n",
-                   ledger->error().c_str());
-      ledger.reset();
-    }
-  }
-
   Progress progress;
   if (opt_.resume != nullptr) {
     // Seed the ETA with the resumed runs' recorded wall clocks.
@@ -329,28 +317,16 @@ RunSummary Runner::run() const {
 
   const auto start = Clock::now();
   std::atomic<std::size_t> next{0};
-  // Columnar store hookup: every finished result — freshly run or spliced
-  // from the ledger — is offered to the store writer, which skips keys
-  // already on disk. That makes a crashed-and-resumed campaign converge to
-  // exactly one store record per run without any splice bookkeeping.
-  const auto store_result = [this](const ExperimentResult& r) {
-    if (opt_.store == nullptr) return;
-    StoreRecord rec;
-    rec.result = r;
-    rec.labels = opt_.store_labels;
-    opt_.store->append(rec);
-  };
   const auto drain = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= names.size()) return;
-      // Resume splice: a ledger record at the right seed stands in for the
+      // Resume splice: a stored record at the right seed stands in for the
       // run verbatim (and is not re-appended — it is already on disk).
       if (opt_.resume != nullptr) {
         const auto it = opt_.resume->find(names[i]);
         if (it != opt_.resume->end()) {
           summary.results[i] = it->second;
-          store_result(summary.results[i]);
           progress.started.fetch_add(1);
           progress.done.fetch_add(1);
           continue;
@@ -358,8 +334,9 @@ RunSummary Runner::run() const {
       }
       progress.started.fetch_add(1);
       summary.results[i] = run_one(names[i]);
-      if (ledger != nullptr) ledger->append(summary.results[i]);
-      store_result(summary.results[i]);
+      if (opt_.store != nullptr) {
+        opt_.store->append({summary.results[i], opt_.store_labels});
+      }
       progress.record(summary.results[i]);
     }
   };

@@ -55,20 +55,15 @@ struct RunnerOptions {
   // are per-experiment forks, so the campaign stays --jobs-deterministic).
   // Null or empty = no injection; the fault path is inert.
   std::shared_ptr<const fault::FaultPlan> faults;
-  // Campaign ledger (see core/ledger.h): when set, one fiveg-ledger/v1
-  // JSONL record is appended per completed run, as it completes.
-  std::string ledger_path;
-  // Resume set from a prior ledger (core/ledger.h completed_runs): runs
-  // found here are spliced into the summary verbatim instead of executing,
-  // and are not re-appended to the ledger. Because records carry the full
-  // result, the merged campaign output is byte-identical to an
-  // uninterrupted run.
+  // Resume set (core/store.h completed_runs): runs found here are spliced
+  // into the summary verbatim instead of executing, and are not appended
+  // to the store again — they are already in it. Because store records
+  // carry the full result, the merged campaign output is byte-identical
+  // to an uninterrupted run.
   std::shared_ptr<const std::map<std::string, ExperimentResult>> resume;
   // Columnar result store (core/store.h): when set, one fiveg-rs/v1
-  // record per completed run is appended, tagged with `store_labels`
-  // (the campaign cell's dimensions; sorted by key). Resumed runs are
-  // appended too — the writer deduplicates by key, so splicing a ledger
-  // backfills exactly the store records a crash lost and no more.
+  // record per executed run is appended as it completes, tagged with
+  // `store_labels` (the campaign cell's dimensions; sorted by key).
   std::shared_ptr<StoreWriter> store;
   std::vector<std::pair<std::string, std::string>> store_labels;
   // Live telemetry: a heartbeat line on stderr every 2 s (done/failed/

@@ -102,7 +102,10 @@ Testbed::Testbed(sim::Simulator* simulator, const TestbedOptions& options,
   bottleneck_index_ = bottleneck;
 
   path_ = std::make_unique<net::PathNetwork>(simulator, std::move(hops));
-  fanout_ = std::make_unique<app::PathFanout>(path_.get());
+  // TCP flows follow the bottleneck's ECN setting, so `--qdisc X+ecn`
+  // marks instead of dropping on every testbed path.
+  fanout_ = std::make_unique<app::PathFanout>(path_.get(),
+                                              path_opt.bottleneck_qdisc.ecn);
 
   if (options.cross_traffic) {
     net::CrossTraffic::Config xcfg;

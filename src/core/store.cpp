@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/runner.h"
 #include "obs/codec.h"
 #include "sim/rng.h"
 
@@ -102,12 +103,12 @@ bool status_from(std::uint8_t b, RunStatus* out) {
   }
 }
 
-// Record payload: the deterministic core, encoded against the file-wide
-// dictionary. Field order is fixed; the intern callback is invoked in
-// exactly this order, which makes the dictionary delta of a record
-// deterministic too.
-std::string encode_record(const StoreRecord& rec,
-                          const obs::codec::StringIntern& intern) {
+// The deterministic core of a record payload, encoded against the
+// file-wide dictionary. Field order is fixed; the intern callback is
+// invoked in exactly this order, which makes the dictionary delta of a
+// record deterministic too.
+std::string encode_core(const StoreRecord& rec,
+                        const obs::codec::StringIntern& intern) {
   using obs::codec::put_f64;
   using obs::codec::put_string;
   using obs::codec::put_varint;
@@ -136,6 +137,16 @@ std::string encode_record(const StoreRecord& rec,
   }
   obs::codec::encode_snapshots(&out, r.counters, intern);
   put_string(&out, r.text);
+  return out;
+}
+
+// Record payload: the core, then the execution section.
+std::string encode_record(const StoreRecord& rec,
+                          const obs::codec::StringIntern& intern) {
+  std::string out = encode_core(rec, intern);
+  obs::codec::put_f64(&out, rec.result.wall_ms);
+  obs::codec::put_varint(&out, rec.result.peak_rss_kb);
+  obs::codec::encode_snapshots(&out, rec.result.profile, intern);
   return out;
 }
 
@@ -196,7 +207,12 @@ bool decode_record(std::string_view payload,
     return false;
   }
   if (!r.get_string(&res.text)) return false;
-  return r.done();
+  // Records written before the execution section existed end here.
+  if (r.done()) return true;
+  return r.get_f64(&res.wall_ms) && r.get_varint(&res.peak_rss_kb) &&
+         obs::codec::decode_snapshots(&r, obs::MetricClock::kWall, resolve,
+                                      &res.profile) &&
+         r.done();
 }
 
 // Parse outcome plus the reconstructed dictionary (the writer reopens a
@@ -284,6 +300,13 @@ std::string StoreRecord::key() const {
   return out;
 }
 
+std::uint64_t core_checksum(const StoreRecord& rec) {
+  // Interning each string as its own hash keeps the encoding independent
+  // of which shard (and which dictionary ids) the record came from.
+  return sim::fnv1a64(encode_core(
+      rec, [](std::string_view s) { return sim::fnv1a64(s); }));
+}
+
 bool store_record_less(const StoreRecord& a, const StoreRecord& b) {
   if (a.result.name != b.result.name) return a.result.name < b.result.name;
   if (a.result.seed != b.result.seed) return a.result.seed < b.result.seed;
@@ -341,9 +364,8 @@ StoreDirLoad load_store_dir(const std::string& dir) {
 }
 
 std::vector<StoreRecord> canonical_view(std::vector<StoreRecord> records) {
-  // Last record with a given key wins, mirroring the ledger's resume
-  // semantics (a post-crash re-run is appended after — and supersedes —
-  // the run it replaces).
+  // Last record with a given key wins: a post-crash re-run is appended
+  // after — and supersedes — the run it replaces.
   std::map<std::string, std::size_t> last;
   for (std::size_t i = 0; i < records.size(); ++i) {
     last[records[i].key()] = i;
@@ -354,6 +376,21 @@ std::vector<StoreRecord> canonical_view(std::vector<StoreRecord> records) {
     if (last[records[i].key()] == i) out.push_back(std::move(records[i]));
   }
   std::sort(out.begin(), out.end(), store_record_less);
+  return out;
+}
+
+std::map<std::string, ExperimentResult> completed_runs(
+    const std::vector<StoreRecord>& records, std::uint64_t base_seed,
+    const std::vector<std::pair<std::string, std::string>>& labels) {
+  std::map<std::string, ExperimentResult> out;
+  for (const StoreRecord& rec : records) {
+    const ExperimentResult& r = rec.result;
+    if (r.status != RunStatus::kOk || rec.labels != labels ||
+        r.seed != Runner::fork_seed(base_seed, r.name)) {
+      continue;
+    }
+    out[r.name] = r;
+  }
   return out;
 }
 
@@ -401,7 +438,7 @@ StoreWriter::StoreWriter(const std::string& path) {
     dict_.emplace(std::move(s), next_id_++);
   }
   for (const StoreRecord& rec : state.load.records) {
-    present_.insert(rec.key());
+    if (rec.result.status == RunStatus::kOk) present_.insert(rec.key());
   }
 #else
   (void)path;
@@ -468,7 +505,7 @@ bool StoreWriter::append(const StoreRecord& rec) {
     }
     off += static_cast<std::size_t>(n);
   }
-  present_.insert(std::move(key));
+  if (rec.result.status == RunStatus::kOk) present_.insert(std::move(key));
   ++appended_;
   return true;
 #else

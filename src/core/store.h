@@ -7,7 +7,10 @@
 // they are recomputed through the same obs::snapshot_of path the live
 // registry uses, so a summary exported from the store is byte-identical
 // to the one the original campaign would have printed with timing off.
-// Wall-clock fields live in the ledger (core/ledger.h), not here.
+// Each record ends with an execution section (wall_ms, peak_rss_kb and
+// the kWall profile snapshot) that feeds --resume's ETA and fiveg_prof;
+// record keys, canonical_view and the fiveg_query export ignore it, so
+// the deterministic view stays timing-free.
 //
 // File layout: a sequence of self-validating frames, each
 //
@@ -28,7 +31,7 @@
 //
 // Merging is order-independent by construction: records are keyed by
 // (experiment, seed, campaign labels), and canonical_view() deduplicates
-// (last record wins, mirroring the ledger's resume semantics) and sorts,
+// (last record wins, as a post-crash re-run supersedes) and sorts,
 // so any shard layout, completion order or --jobs value yields the same
 // merged view byte-for-byte.
 #pragma once
@@ -50,10 +53,11 @@ inline constexpr std::string_view kStoreSchema = "fiveg-rs/v1";
 /// Shard files are named `<stem>.fgrs`; load_store_dir reads every match.
 inline constexpr std::string_view kStoreFileSuffix = ".fgrs";
 
-/// One stored run: the deterministic core of an ExperimentResult plus the
+/// One stored run: an ExperimentResult (without its event trace) plus the
 /// campaign labels (e.g. {"qdisc", "codel"}) that distinguish grid cells
 /// running the same experiment at different parameters. Labels are kept
-/// sorted by key; the wall-clock fields of `result` are always zero.
+/// sorted by key. The wall-clock fields of `result` (wall_ms, peak_rss_kb,
+/// profile) form the record's execution section.
 struct StoreRecord {
   ExperimentResult result;
   std::vector<std::pair<std::string, std::string>> labels;
@@ -63,6 +67,13 @@ struct StoreRecord {
   /// supersedes (a re-run after a crash, or an overlapping shard).
   [[nodiscard]] std::string key() const;
 };
+
+/// FNV-1a checksum of the record's deterministic core (everything but the
+/// execution section), independent of the shard's string dictionary: two
+/// runs of one grid cell's experiment agree on it iff they produced the
+/// same results. fiveg_prof flags ok runs that disagree as
+/// nondeterministic.
+[[nodiscard]] std::uint64_t core_checksum(const StoreRecord& rec);
 
 /// `a` before `b` in the canonical merged order: by experiment name, then
 /// seed, then labels — independent of file order and shard layout.
@@ -110,11 +121,21 @@ struct StoreDirLoad {
 [[nodiscard]] std::vector<StoreRecord> canonical_view(
     std::vector<StoreRecord> records);
 
+/// The resume set of one campaign cell: experiment name -> result for
+/// every ok record whose seed is Runner::fork_seed(base_seed, name) and
+/// whose labels equal `labels` (a store from another --seed or another
+/// grid cell never satisfies a resume). The last such record wins.
+[[nodiscard]] std::map<std::string, ExperimentResult> completed_runs(
+    const std::vector<StoreRecord>& records, std::uint64_t base_seed,
+    const std::vector<std::pair<std::string, std::string>>& labels);
+
 /// Append-only shard writer. Opening scans any existing file: a torn tail
 /// is sealed (truncated to the valid prefix), the file-wide dictionary is
-/// rebuilt, and the present-key set is loaded so a resumed campaign can
-/// re-append completed runs idempotently. Thread-safe; each append is one
-/// O_APPEND write().
+/// rebuilt, and the keys of its ok records are loaded so re-running a
+/// completed campaign into the same store appends nothing. A failed or
+/// timed-out record does not count as present: its re-run is appended
+/// after it and supersedes it in canonical_view. Thread-safe; each append
+/// is one O_APPEND write().
 class StoreWriter {
  public:
   explicit StoreWriter(const std::string& path);
@@ -125,13 +146,13 @@ class StoreWriter {
   [[nodiscard]] bool ok() const { return error_.empty(); }
   [[nodiscard]] const std::string& error() const { return error_; }
 
-  /// True if a record with this key is already on disk (or was appended
-  /// through this writer).
+  /// True if an ok record with this key is already on disk (or was
+  /// appended through this writer).
   [[nodiscard]] bool contains(const std::string& key) const;
 
-  /// Appends one record; a record whose key is already present is skipped
-  /// (idempotent resume) and still returns true. False with error() set
-  /// on I/O failure, which poisons the writer.
+  /// Appends one record; a record whose key already has an ok record is
+  /// skipped and still returns true. False with error() set on I/O
+  /// failure, which poisons the writer.
   bool append(const StoreRecord& rec);
 
   /// Records written by this writer (skipped duplicates not counted).
@@ -143,7 +164,7 @@ class StoreWriter {
   std::string error_;
   std::map<std::string, std::uint64_t, std::less<>> dict_;
   std::uint64_t next_id_ = 0;
-  std::set<std::string> present_;
+  std::set<std::string> present_;  // keys of ok records
   std::size_t appended_ = 0;
 };
 

@@ -71,9 +71,4 @@ std::vector<std::pair<double, double>> Cdf::curve(std::size_t n) const {
   return out;
 }
 
-const std::vector<double>& Cdf::sorted_samples() const {
-  ensure_sorted();
-  return samples_;
-}
-
 }  // namespace fiveg::measure

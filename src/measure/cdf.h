@@ -41,9 +41,6 @@ class Cdf {
   [[nodiscard]] std::vector<std::pair<double, double>> curve(
       std::size_t n) const;
 
-  /// The sorted sample values.
-  [[nodiscard]] const std::vector<double>& sorted_samples() const;
-
  private:
   void ensure_sorted() const;
 

@@ -6,8 +6,7 @@
 
 namespace fiveg::measure {
 
-JsonWriter::JsonWriter(std::ostream& os, bool compact)
-    : os_(os), compact_(compact) {}
+JsonWriter::JsonWriter(std::ostream& os) : os_(os) {}
 
 void JsonWriter::prefix() {
   if (key_pending_) {
@@ -17,10 +16,8 @@ void JsonWriter::prefix() {
   }
   if (stack_.empty()) return;
   if (stack_.back().has_elements) os_ << ",";
-  if (!compact_) {
-    os_ << "\n";
-    indent();
-  }
+  os_ << "\n";
+  indent();
   stack_.back().has_elements = true;
 }
 
@@ -37,7 +34,7 @@ void JsonWriter::begin_object() {
 void JsonWriter::end_object() {
   const bool had = stack_.back().has_elements;
   stack_.pop_back();
-  if (had && !compact_) {
+  if (had) {
     os_ << "\n";
     indent();
   }
@@ -53,7 +50,7 @@ void JsonWriter::begin_array() {
 void JsonWriter::end_array() {
   const bool had = stack_.back().has_elements;
   stack_.pop_back();
-  if (had && !compact_) {
+  if (had) {
     os_ << "\n";
     indent();
   }
@@ -62,7 +59,7 @@ void JsonWriter::end_array() {
 
 void JsonWriter::key(std::string_view k) {
   prefix();
-  os_ << '"' << escape(k) << (compact_ ? "\":" : "\": ");
+  os_ << '"' << escape(k) << "\": ";
   key_pending_ = true;
 }
 

@@ -13,12 +13,10 @@
 namespace fiveg::measure {
 
 /// Streaming writer with a container stack: begin/end objects and arrays,
-/// interleave key() and value() calls. Pretty-prints with 2-space indent by
-/// default; `compact` emits no whitespace at all (one-line documents, e.g.
-/// the campaign ledger's JSONL records).
+/// interleave key() and value() calls. Pretty-prints with 2-space indent.
 class JsonWriter {
  public:
-  explicit JsonWriter(std::ostream& os, bool compact = false);
+  explicit JsonWriter(std::ostream& os);
 
   void begin_object();
   void end_object();
@@ -56,7 +54,6 @@ class JsonWriter {
   void indent();
 
   std::ostream& os_;
-  bool compact_ = false;
   // One frame per open container: is_object, and whether it has elements.
   struct Frame {
     bool object = false;

@@ -43,10 +43,8 @@ class Link {
     int domain = sim::kNoLane;
   };
 
-  /// `sink` receives delivered packets; may be changed later.
+  /// `sink` receives delivered packets.
   Link(sim::Simulator* simulator, Config config, PacketSink* sink = nullptr);
-
-  void set_sink(PacketSink* sink) noexcept { sink_ = sink; }
 
   /// Offers a packet: queued for transmission or dropped by the qdisc.
   void send(Packet p);

@@ -31,9 +31,6 @@ class UdpSource {
   void start(sim::Time duration);
 
   [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
-    return sent_ * config_.packet_bytes;
-  }
 
  private:
   void emit_next();
@@ -67,11 +64,6 @@ class UdpSink final : public PacketSink {
   [[nodiscard]] const std::vector<std::uint64_t>& arrival_seqs()
       const noexcept {
     return arrival_seqs_;
-  }
-
-  /// Per-packet byte log for windowed-throughput plots.
-  [[nodiscard]] const measure::TimeSeries& byte_log() const noexcept {
-    return byte_log_;
   }
 
   /// Mean goodput over [from, to], bits/s.

@@ -8,8 +8,6 @@ thread_local Scope g_scope;
 
 }  // namespace
 
-const Scope& current_scope() noexcept { return g_scope; }
-
 Tracer* tracer() noexcept { return g_scope.tracer; }
 
 MetricsRegistry* metrics() noexcept { return g_scope.metrics; }

@@ -21,9 +21,6 @@ struct Scope {
   MetricsRegistry* metrics = nullptr;
 };
 
-/// The current thread's scope (empty by default).
-[[nodiscard]] const Scope& current_scope() noexcept;
-
 /// Shorthands; null when nothing is installed.
 [[nodiscard]] Tracer* tracer() noexcept;
 [[nodiscard]] MetricsRegistry* metrics() noexcept;

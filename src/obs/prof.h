@@ -33,7 +33,7 @@ inline constexpr const char* kHeapAllocMetric = "prof.callable_heap_allocs";
 /// Process peak resident set size in kB (Linux VmHWM via getrusage);
 /// 0 when the platform cannot report it. Process-wide: under --jobs N the
 /// high-water mark belongs to the whole worker pool, not one run — the
-/// per-run ledger field records the mark at run completion time.
+/// per-run field records the mark at run completion time.
 [[nodiscard]] std::uint64_t peak_rss_kb();
 
 /// Instantaneous resident set size in kB (/proc/self/statm); 0 when
@@ -83,7 +83,7 @@ struct LabelRow {
 [[nodiscard]] std::vector<LabelRow> label_rows(
     const std::vector<MetricSnapshot>& wall);
 
-/// Compact per-run profile summary (the ledger's `prof` object).
+/// Compact per-run profile summary (fiveg_prof's slowest-runs columns).
 struct Summary {
   double construct_ms = 0.0;
   double simulate_ms = 0.0;

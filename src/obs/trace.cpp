@@ -27,7 +27,8 @@ void Tracer::emit(TraceEvent e) {
 // Silent truncation is worse than a noisy ring: wrapping is legitimate
 // (the ring bounds memory by design) but the operator must be able to see
 // it happened. One stderr line on the first wrap, a kWall counter for the
-// profile/ledger, and the Chrome exporter's events_dropped field carry the
+// profile (and the store's execution section), and the Chrome exporter's
+// events_dropped field carry the
 // exact count downstream (fiveg_trace_check reports it, never fails on it).
 void Tracer::on_drop() {
   if (!warned_wrap_) {

@@ -55,9 +55,4 @@ double observed_prb_fraction(radio::Rat rat, LoadRegime regime,
   return fraction;
 }
 
-int typical_competing_users(radio::Rat rat, LoadRegime regime) {
-  if (rat == radio::Rat::kNr) return 0;  // 5G was nearly empty in 2019/2020
-  return regime == LoadRegime::kDay ? 1 : 0;
-}
-
 }  // namespace fiveg::ran

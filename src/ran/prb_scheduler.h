@@ -36,8 +36,4 @@ class PrbScheduler {
 [[nodiscard]] double observed_prb_fraction(radio::Rat rat, LoadRegime regime,
                                            sim::Rng& rng);
 
-/// Number of competing users consistent with the observed shares, used to
-/// configure schedulers in end-to-end experiments.
-[[nodiscard]] int typical_competing_users(radio::Rat rat, LoadRegime regime);
-
 }  // namespace fiveg::ran

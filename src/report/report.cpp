@@ -80,12 +80,6 @@ constexpr SchemaEntry kSchemaTable[] = {
 
 }  // namespace
 
-std::vector<std::string> supported_runall_schemas() {
-  std::vector<std::string> out;
-  for (const SchemaEntry& e : kSchemaTable) out.emplace_back(e.schema);
-  return out;
-}
-
 BuildResult build_reports(const obs::JsonValue& doc) {
   BuildResult out;
   if (!doc.is(obs::JsonValue::Type::kObject)) {

@@ -48,10 +48,6 @@ struct BuildResult {
 /// error naming the offending schema string and the supported list.
 [[nodiscard]] BuildResult build_reports(const obs::JsonValue& doc);
 
-/// The runall schema versions build_reports understands, in dispatch
-/// order (e.g. {"fiveg-runall/v3", "fiveg-runall/v4"}).
-[[nodiscard]] std::vector<std::string> supported_runall_schemas();
-
 /// Per-metric drift tolerance; pass iff
 /// |actual - expected| <= abs_tol + rel_tol * |expected|.
 struct Tolerance {

@@ -10,8 +10,8 @@
 namespace fiveg::sim {
 
 /// 64-bit FNV-1a over a string. Keys Rng::fork's named substreams and
-/// checksums ledger records and store frames (torn writes, disk
-/// corruption); not cryptographic.
+/// checksums store frames (torn writes, disk corruption) and their
+/// deterministic cores; not cryptographic.
 [[nodiscard]] inline std::uint64_t fnv1a64(std::string_view s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : s) {

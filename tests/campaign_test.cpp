@@ -77,7 +77,7 @@ TEST(CampaignTest, BaseSeedsAreDistinctPerCellAndStable) {
   std::set<std::uint64_t> seeds;
   for (const CampaignCell& c : cells) {
     // Never the raw axis seed: cells fork, so different-parameter cells
-    // sharing an axis seed cannot collide in a (name, seed)-keyed ledger.
+    // sharing an axis seed cannot collide at one (name, seed).
     EXPECT_NE(c.base_seed(), c.axis_seed) << c.tag();
     EXPECT_EQ(c.base_seed(), c.base_seed());  // pure function of the cell
     seeds.insert(c.base_seed());

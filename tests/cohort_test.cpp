@@ -185,10 +185,12 @@ TEST_F(CohortFixture, RowCacheReusesStationaryRows) {
 // setup.
 TEST(CohortFaultTest, CoverageOffsetInvalidatesRows) {
   fault::FaultPlan plan;
-  plan.add({.kind = fault::FaultKind::kCoverageHole,
-            .begin = sim::kSecond,
-            .end = 100 * sim::kSecond,
-            .offset_db = 30.0});
+  fault::FaultSpec hole;
+  hole.kind = fault::FaultKind::kCoverageHole;
+  hole.begin = sim::kSecond;
+  hole.end = 100 * sim::kSecond;
+  hole.offset_db = 30.0;
+  plan.add(hole);
   fault::Runtime rt(&plan, 99);
   fault::ScopedFaults scoped(&rt);
   sim::Simulator simr;

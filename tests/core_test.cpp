@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 
 #include "app/iperf.h"
@@ -11,6 +12,7 @@
 #include "core/paper.h"
 #include "core/runner.h"
 #include "core/scenario.h"
+#include "net/aqm.h"
 
 namespace fiveg::core {
 namespace {
@@ -187,6 +189,45 @@ TEST(TestbedTest, UdpAtBaselineIsNearLossless) {
   test.start(3 * sim::kSecond);
   simr.run_until(5 * sim::kSecond);
   EXPECT_LT(test.result(0, 3 * sim::kSecond).loss_ratio, 0.001);
+}
+
+// `--qdisc codel+ecn` must reach the senders: testbed flows negotiate ECN
+// when the bottleneck marks, so the smoke transfer sees CE marks and its
+// output differs from plain CoDel.
+TEST(TestbedTest, CampaignEcnQdiscMarksTestbedFlows) {
+  const auto run_smoke_tcp = [](const char* spec) {
+    net::QdiscConfig qdisc;
+    EXPECT_TRUE(net::parse_qdisc_spec(spec, &qdisc));
+    set_campaign_bottleneck_qdisc(qdisc);
+    RunnerOptions opt;
+    opt.only_names = {"smoke_tcp_bulk"};
+    const RunSummary summary = Runner(opt).run();
+    set_campaign_bottleneck_qdisc(net::QdiscConfig{});
+    EXPECT_EQ(summary.results.size(), 1u);
+    return summary.results.empty() ? ExperimentResult{}
+                                   : summary.results[0];
+  };
+  const ExperimentResult ecn = run_smoke_tcp("codel+ecn");
+  const ExperimentResult plain = run_smoke_tcp("codel");
+  ASSERT_EQ(ecn.status, RunStatus::kOk) << ecn.error;
+  ASSERT_EQ(plain.status, RunStatus::kOk) << plain.error;
+
+  const auto marks = [](const ExperimentResult& r) {
+    double total = 0;
+    for (const obs::MetricSnapshot& s : r.counters) {
+      if (s.name.rfind("net.qdisc.marks{", 0) == 0) total += s.value;
+    }
+    return total;
+  };
+  EXPECT_GT(marks(ecn), 0.0);
+  EXPECT_EQ(marks(plain), 0.0);
+  RunSummary a, b;
+  a.results.push_back(ecn);
+  b.results.push_back(plain);
+  std::ostringstream ja, jb;
+  write_json(a, ja, /*include_timing=*/false);
+  write_json(b, jb, /*include_timing=*/false);
+  EXPECT_NE(ja.str(), jb.str());
 }
 
 }  // namespace

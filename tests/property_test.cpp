@@ -226,8 +226,9 @@ TEST_P(FlappyLinkTest, TransferCompletesExactly) {
   hops[1].prop_delay = from_millis(5);
   net::PathNetwork path(&simr, hops);
   app::PathFanout fanout(&path);
-  app::TcpSession s(&simr, &path, &fanout,
-                    tcp::TcpConfig{.algo = tcp::CcAlgo::kCubic});
+  tcp::TcpConfig cfg;
+  cfg.algo = tcp::CcAlgo::kCubic;
+  app::TcpSession s(&simr, &path, &fanout, cfg);
 
   bool completed = false;
   const std::uint64_t kBytes = 3'000'000;

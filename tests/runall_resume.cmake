@@ -1,11 +1,11 @@
-# ctest script: a killed campaign must be resumable from its ledger with a
-# byte-identical merged JSON document. The kill is simulated by truncating
-# the reference run's ledger to half its records plus a torn partial line
-# (exactly what a mid-append SIGKILL leaves behind); `--resume` must then
-# skip the surviving runs, re-run the rest, and produce the same campaign
-# JSON as the uninterrupted reference — at every worker count. A second
-# resume from the now-complete ledger must execute nothing and leave the
-# ledger file byte-unchanged.
+# ctest script: a killed campaign must be resumable from its result store
+# with a byte-identical merged JSON document. The kill is simulated by a
+# store that holds half the campaign (a `--shard 0/2` run) plus a torn
+# trailing frame (exactly what a mid-append SIGKILL leaves behind);
+# `--resume` must then splice the stored runs, re-run the rest, and
+# produce the same campaign JSON as the uninterrupted reference — at every
+# worker count. A second resume from the now-complete store must execute
+# nothing and leave every shard file byte-unchanged.
 #
 # Invoked as:
 #   cmake -DRUNALL=<path-to-fiveg_runall> -DWORK_DIR=<dir>
@@ -18,101 +18,75 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 
 set(common --smoke --seed 42 --timeout 300 --no-timing --quiet)
 
-# Uninterrupted reference campaign (also produces the full ledger).
-execute_process(
-  COMMAND ${RUNALL} ${common} --jobs 2 --json ${WORK_DIR}/ref.json
-          --ledger ${WORK_DIR}/full.jsonl
-  OUTPUT_QUIET
-  ERROR_VARIABLE ref_err
-  RESULT_VARIABLE ref_rc)
-if(NOT ref_rc EQUAL 0)
-  message(FATAL_ERROR "reference run failed (rc=${ref_rc}): ${ref_err}")
-endif()
-
-# Simulate the kill: keep the first half of the records, then a torn
-# partial line with no trailing newline. file(STRINGS) would mangle
-# records containing semicolons, so the split walks newline offsets on the
-# raw content instead.
-file(READ ${WORK_DIR}/full.jsonl content)
-string(REGEX MATCHALL "\n" newlines "${content}")
-list(LENGTH newlines total_lines)
-if(total_lines LESS 4)
-  message(FATAL_ERROR "ledger has only ${total_lines} records")
-endif()
-math(EXPR keep "${total_lines} / 2")
-string(LENGTH "${content}" content_len)
-set(offset 0)
-set(kept_lines 0)
-while(kept_lines LESS keep)
-  string(SUBSTRING "${content}" ${offset} -1 rest)
-  string(FIND "${rest}" "\n" nl)
-  if(nl EQUAL -1)
-    message(FATAL_ERROR "ran out of newlines at line ${kept_lines}")
-  endif()
-  math(EXPR offset "${offset} + ${nl} + 1")
-  math(EXPR kept_lines "${kept_lines} + 1")
-endwhile()
-string(SUBSTRING "${content}" 0 ${offset} kept)
-file(WRITE ${WORK_DIR}/truncated.jsonl
-     "${kept}{\"schema\":\"fiveg-ledger/v1\",\"checksum\":\"torn-mid-app")
-message(STATUS "kept ${keep} of ${total_lines} records plus a torn line")
-
-# Resume at several worker counts; each gets its own ledger copy (resume
-# appends to it) and must merge to the byte-identical reference JSON.
-foreach(jobs 1 2 8)
-  set(ledger ${WORK_DIR}/resume_j${jobs}.jsonl)
+function(run_campaign what)
   execute_process(
-    COMMAND ${CMAKE_COMMAND} -E copy ${WORK_DIR}/truncated.jsonl ${ledger})
-  execute_process(
-    COMMAND ${RUNALL} ${common} --jobs ${jobs} --resume ${ledger}
-            --json ${WORK_DIR}/resume_j${jobs}.json
+    COMMAND ${RUNALL} ${common} ${ARGN}
     OUTPUT_QUIET
-    ERROR_VARIABLE resume_err
-    RESULT_VARIABLE resume_rc)
-  if(NOT resume_rc EQUAL 0)
-    message(FATAL_ERROR
-            "--resume --jobs ${jobs} failed (rc=${resume_rc}): ${resume_err}")
+    ERROR_VARIABLE run_err
+    RESULT_VARIABLE run_rc)
+  if(NOT run_rc EQUAL 0)
+    message(FATAL_ERROR "${what} failed (rc=${run_rc}): ${run_err}")
   endif()
+endfunction()
+
+function(require_same_file a b what)
   execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/ref.json ${WORK_DIR}/resume_j${jobs}.json
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${a} ${b}
     RESULT_VARIABLE diff)
   if(NOT diff EQUAL 0)
-    message(FATAL_ERROR
-            "--resume --jobs ${jobs} JSON differs from the uninterrupted "
-            "reference")
+    message(FATAL_ERROR "${what}")
   endif()
+endfunction()
+
+# Uninterrupted reference campaign (also produces the full store).
+run_campaign("reference run" --jobs 2 --json ${WORK_DIR}/ref.json
+             --store ${WORK_DIR}/ref_store)
+
+# Simulate the kill: half the work units ran, then a torn partial frame.
+run_campaign("half-campaign run" --jobs 2 --shard 0/2
+             --store ${WORK_DIR}/killed)
+file(GLOB killed_shards ${WORK_DIR}/killed/*.fgrs)
+list(LENGTH killed_shards n_killed)
+if(NOT n_killed EQUAL 1)
+  message(FATAL_ERROR "expected one shard file in the killed store, got "
+                      "${n_killed}")
+endif()
+file(APPEND ${killed_shards} "FGRSxRtorn-mid-append")
+
+# Resume at several worker counts; each gets its own store copy (resume
+# appends to it) and must merge to the byte-identical reference JSON.
+foreach(jobs 1 2 8)
+  set(store ${WORK_DIR}/resume_j${jobs})
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E copy_directory ${WORK_DIR}/killed ${store})
+  run_campaign("--resume --jobs ${jobs}" --jobs ${jobs} --resume ${store}
+               --json ${WORK_DIR}/resume_j${jobs}.json)
+  require_same_file(${WORK_DIR}/ref.json ${WORK_DIR}/resume_j${jobs}.json
+                    "--resume --jobs ${jobs} JSON differs from the "
+                    "uninterrupted reference")
 endforeach()
 
-# Second resume from the grown (now complete) ledger: nothing left to run,
-# same JSON out, and the ledger file must not grow.
+# Second resume from the grown (now complete) store: nothing left to run,
+# same JSON out, and no shard file may change.
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E copy ${WORK_DIR}/resume_j2.jsonl
-          ${WORK_DIR}/second.jsonl)
-execute_process(
-  COMMAND ${RUNALL} ${common} --jobs 2 --resume ${WORK_DIR}/second.jsonl
-          --json ${WORK_DIR}/second.json
-  OUTPUT_QUIET
-  ERROR_VARIABLE second_err
-  RESULT_VARIABLE second_rc)
-if(NOT second_rc EQUAL 0)
-  message(FATAL_ERROR "second resume failed (rc=${second_rc}): ${second_err}")
+  COMMAND ${CMAKE_COMMAND} -E copy_directory ${WORK_DIR}/resume_j2
+          ${WORK_DIR}/second)
+run_campaign("second resume" --jobs 2 --resume ${WORK_DIR}/second
+             --json ${WORK_DIR}/second.json)
+require_same_file(${WORK_DIR}/ref.json ${WORK_DIR}/second.json
+                  "second resume JSON differs from the reference")
+file(GLOB grown_shards RELATIVE ${WORK_DIR}/resume_j2
+     ${WORK_DIR}/resume_j2/*.fgrs)
+file(GLOB second_shards RELATIVE ${WORK_DIR}/second ${WORK_DIR}/second/*.fgrs)
+if(NOT grown_shards STREQUAL second_shards)
+  message(FATAL_ERROR "second resume changed the shard set: "
+                      "${grown_shards} -> ${second_shards}")
 endif()
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/ref.json ${WORK_DIR}/second.json
-  RESULT_VARIABLE second_diff)
-if(NOT second_diff EQUAL 0)
-  message(FATAL_ERROR "second resume JSON differs from the reference")
-endif()
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/resume_j2.jsonl ${WORK_DIR}/second.jsonl
-  RESULT_VARIABLE ledger_diff)
-if(NOT ledger_diff EQUAL 0)
-  message(FATAL_ERROR
-          "second resume modified the ledger (expected zero re-runs)")
-endif()
+foreach(shard ${grown_shards})
+  require_same_file(${WORK_DIR}/resume_j2/${shard} ${WORK_DIR}/second/${shard}
+                    "second resume modified ${shard} (expected zero "
+                    "re-runs)")
+endforeach()
 
 message(STATUS "runall resume: byte-identical JSON at jobs 1/2/8 and on a "
                "no-op second resume")

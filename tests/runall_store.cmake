@@ -1,12 +1,12 @@
 # ctest script: a sharded manifest campaign's columnar store must merge to
 # the byte-identical fiveg_query export of the unsharded reference run —
 # including after a mid-campaign kill. Three crash artifacts are simulated
-# (one per worker count): a deleted shard file (every record backfilled
-# from the ledger splice on resume), a torn trailing frame (sealed by the
-# writer on reopen), and an intact store (pure key-dedup resume). In every
-# case the resumed shard plus its sibling must export the same bytes as
-# the uninterrupted reference, and fiveg_prof's ledger<->store audit must
-# pass.
+# (one per worker count): a deleted shard file (every run of the shard
+# re-runs on resume), a torn trailing frame (sealed by the writer on
+# reopen; every run spliced), and an intact store (every run spliced). In
+# every case the resumed shard plus its sibling must export the same bytes
+# as the uninterrupted reference, and fiveg_prof must read the store and
+# find no flaky experiment.
 #
 # Invoked as:
 #   cmake -DRUNALL=<fiveg_runall> -DQUERY=<fiveg_query> -DPROF=<fiveg_prof>
@@ -19,10 +19,10 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 
 set(common --manifest ${MANIFEST} --timeout 300 --quiet)
 
-function(run_shard out_prefix shard jobs ledger store)
+function(run_shard out_prefix shard jobs store)
   execute_process(
     COMMAND ${RUNALL} ${common} --shard ${shard} --jobs ${jobs}
-            --ledger ${ledger} --store ${store}
+            --store ${store}
     OUTPUT_QUIET
     ERROR_VARIABLE run_err
     RESULT_VARIABLE run_rc)
@@ -44,39 +44,13 @@ function(export_store store out)
   endif()
 endfunction()
 
-# Truncates a ledger to half its lines plus a torn partial line — the
-# exact artifact a mid-append SIGKILL leaves behind.
-function(tear_ledger ledger)
-  file(READ ${ledger} content)
-  string(REGEX MATCHALL "\n" newlines "${content}")
-  list(LENGTH newlines total_lines)
-  if(total_lines LESS 2)
-    message(FATAL_ERROR "ledger ${ledger} has only ${total_lines} records")
-  endif()
-  math(EXPR keep "${total_lines} / 2")
-  set(offset 0)
-  set(kept_lines 0)
-  while(kept_lines LESS keep)
-    string(SUBSTRING "${content}" ${offset} -1 rest)
-    string(FIND "${rest}" "\n" nl)
-    if(nl EQUAL -1)
-      message(FATAL_ERROR "ran out of newlines at line ${kept_lines}")
-    endif()
-    math(EXPR offset "${offset} + ${nl} + 1")
-    math(EXPR kept_lines "${kept_lines} + 1")
-  endwhile()
-  string(SUBSTRING "${content}" 0 ${offset} kept)
-  file(WRITE ${ledger}
-       "${kept}{\"schema\":\"fiveg-ledger/v1\",\"checksum\":\"torn-mid-app")
-endfunction()
-
 # --- Reference: the whole campaign as one shard. --------------------------
-run_shard(ref 0/1 2 ${WORK_DIR}/ref.jsonl ${WORK_DIR}/ref_store)
+run_shard(ref 0/1 2 ${WORK_DIR}/ref_store)
 export_store(${WORK_DIR}/ref_store ${WORK_DIR}/ref.json)
 
 # --- Clean 2-way shard split must merge to the reference bytes. -----------
-run_shard(clean 0/2 2 ${WORK_DIR}/clean_0.jsonl ${WORK_DIR}/clean_store)
-run_shard(clean 1/2 2 ${WORK_DIR}/clean_1.jsonl ${WORK_DIR}/clean_store)
+run_shard(clean 0/2 2 ${WORK_DIR}/clean_store)
+run_shard(clean 1/2 2 ${WORK_DIR}/clean_store)
 export_store(${WORK_DIR}/clean_store ${WORK_DIR}/clean.json)
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -87,19 +61,17 @@ if(NOT clean_diff EQUAL 0)
 endif()
 
 # --- Kill + resume at several worker counts. ------------------------------
-# crash mode per jobs value: delete (backfill everything from the splice),
-# tear (torn trailing frame sealed on reopen), keep (pure dedup).
+# crash mode per jobs value: delete (the shard re-runs in full), tear
+# (torn trailing frame sealed on reopen), keep (nothing re-runs).
 set(modes_1 delete)
 set(modes_2 tear)
 set(modes_8 keep)
 foreach(jobs 1 2 8)
   set(work ${WORK_DIR}/resume_j${jobs})
   set(store ${work}_store)
-  set(ledger0 ${work}_0.jsonl)
 
-  # Shard 0 runs to completion, then the "kill" mangles its artifacts.
-  run_shard(resume_j${jobs} 0/2 ${jobs} ${ledger0} ${store})
-  tear_ledger(${ledger0})
+  # Shard 0 runs to completion, then the "kill" mangles its store file.
+  run_shard(resume_j${jobs} 0/2 ${jobs} ${store})
   set(mode ${modes_${jobs}})
   if(mode STREQUAL delete)
     file(REMOVE ${store}/shard-0-of-2.fgrs)
@@ -107,11 +79,11 @@ foreach(jobs 1 2 8)
     file(APPEND ${store}/shard-0-of-2.fgrs "FGRSxRtorn-frame-garbage")
   endif()
 
-  # Resume shard 0 from the torn ledger (appends land back in it), then
-  # run shard 1 cleanly into the same store directory.
+  # Resume shard 0 from the store (appends land back in it), then run
+  # shard 1 cleanly into the same store directory.
   execute_process(
     COMMAND ${RUNALL} ${common} --shard 0/2 --jobs ${jobs}
-            --resume ${ledger0} --store ${store}
+            --resume ${store}
     OUTPUT_QUIET
     ERROR_VARIABLE resume_err
     RESULT_VARIABLE resume_rc)
@@ -120,7 +92,7 @@ foreach(jobs 1 2 8)
             "resume (jobs ${jobs}, mode ${mode}) failed (rc=${resume_rc}): "
             "${resume_err}")
   endif()
-  run_shard(resume_j${jobs} 1/2 ${jobs} ${work}_1.jsonl ${store})
+  run_shard(resume_j${jobs} 1/2 ${jobs} ${store})
 
   export_store(${store} ${work}.json)
   execute_process(
@@ -133,15 +105,16 @@ foreach(jobs 1 2 8)
             "from the reference")
   endif()
 
-  # The audit must agree: one store record per ledgered run, no orphans.
+  # The profiler reads the resumed store: no mixed statuses, no ok runs
+  # of one cell that disagree.
   execute_process(
-    COMMAND ${PROF} ${ledger0} ${work}_1.jsonl --store ${store} --json
+    COMMAND ${PROF} ${store} --json
     OUTPUT_QUIET
     ERROR_VARIABLE prof_err
     RESULT_VARIABLE prof_rc)
   if(NOT prof_rc EQUAL 0)
     message(FATAL_ERROR
-            "fiveg_prof audit failed (jobs ${jobs}, mode ${mode}, "
+            "fiveg_prof failed (jobs ${jobs}, mode ${mode}, "
             "rc=${prof_rc}): ${prof_err}")
   endif()
 endforeach()

@@ -1,8 +1,13 @@
 // Tests for the parallel campaign runner: parallel/serial byte-identity,
-// deterministic seed forking, timeout abandonment and failure capture.
+// deterministic seed forking, timeout abandonment, failure capture and
+// resuming a campaign from its result store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +15,7 @@
 #include <thread>
 
 #include "core/runner.h"
+#include "core/store.h"
 #include "obs/json_check.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -298,6 +304,92 @@ TEST(RunnerTest, TracedParallelRunIsByteIdenticalToSerial) {
   write_chrome_trace(b, tb, /*include_wall=*/false);
   EXPECT_EQ(ja.str(), jb.str());
   EXPECT_EQ(ta.str(), tb.str());
+}
+
+// Side-effect counter proving resumed experiments never re-execute.
+std::atomic<int> g_executions{0};
+
+class CountingExperiment final : public Experiment {
+ public:
+  explicit CountingExperiment(int index) : index_(index) {}
+  std::string name() const override {
+    return "counting_" + std::to_string(index_);
+  }
+  std::string paper_ref() const override { return "Figure 0"; }
+  std::string description() const override { return "counts executions"; }
+  void run(const ExperimentContext& ctx) override {
+    g_executions.fetch_add(1);
+    sim::Rng rng = sim::Rng(ctx.seed).fork("counting");
+    *ctx.out << "counting " << index_ << ": " << rng.uniform(0, 1) << "\n\n";
+    ctx.metric("draw", rng.uniform(0, 1));
+    if (auto* m = obs::metrics()) m->counter("counting.runs").add();
+  }
+
+ private:
+  int index_;
+};
+
+TEST(RunnerTest, ResumeSplicesFromStoreWithoutReExecuting) {
+  const std::string path = testing::TempDir() + "fiveg_runner_resume.fgrs";
+  std::remove(path.c_str());
+  ExperimentRegistry reg;
+  for (int i = 0; i < 6; ++i) {
+    reg.add([i] { return std::make_unique<CountingExperiment>(i); });
+  }
+
+  RunnerOptions opt;
+  opt.jobs = 2;
+  opt.seed = 42;
+  opt.store = std::make_shared<StoreWriter>(path);
+  g_executions = 0;
+  const RunSummary full = Runner(opt, &reg).run();
+  EXPECT_EQ(g_executions.load(), 6);
+  ASSERT_TRUE(full.all_ok());
+  opt.store.reset();
+
+  // Keep only half the store, as after a kill.
+  const StoreLoad all = load_store_file(path);
+  ASSERT_EQ(all.records.size(), 6u);
+  std::remove(path.c_str());
+  {
+    StoreWriter writer(path);
+    for (std::size_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(writer.append(all.records[i]));
+    }
+  }
+
+  RunnerOptions resume_opt = opt;
+  resume_opt.resume = std::make_shared<
+      const std::map<std::string, ExperimentResult>>(
+      completed_runs(load_store_file(path).records, opt.seed, {}));
+  ASSERT_EQ(resume_opt.resume->size(), 3u);
+  resume_opt.store = std::make_shared<StoreWriter>(path);
+  g_executions = 0;
+  const RunSummary resumed = Runner(resume_opt, &reg).run();
+  EXPECT_EQ(g_executions.load(), 3);  // only the missing half ran
+  resume_opt.store.reset();
+
+  std::ostringstream ja, jb;
+  write_json(full, ja, /*include_timing=*/false);
+  write_json(resumed, jb, /*include_timing=*/false);
+  EXPECT_EQ(ja.str(), jb.str());
+  // Spliced runs keep the execution data of the run that produced them.
+  for (const auto& [name, r] : *resume_opt.resume) {
+    const auto it = std::find_if(
+        full.results.begin(), full.results.end(),
+        [&](const ExperimentResult& f) { return f.name == name; });
+    ASSERT_NE(it, full.results.end());
+    EXPECT_EQ(r.wall_ms, it->wall_ms);
+    EXPECT_EQ(r.peak_rss_kb, it->peak_rss_kb);
+    EXPECT_EQ(r.profile.size(), it->profile.size());
+  }
+
+  // The resumed campaign appended only the re-run half: every run is now
+  // in the store exactly once.
+  const StoreLoad after = load_store_file(path);
+  EXPECT_EQ(after.records.size(), 6u);
+  EXPECT_EQ(completed_runs(after.records, opt.seed, {}).size(), 6u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the columnar campaign result store (core/store.h): frame
 // parsing and checksum rejection, torn-tail semantics (valid prefix kept,
 // tail sealed on writer reopen), record round-trips including metric
-// columns, key-based dedup in canonical_view, writer idempotence across
-// reopen, and directory loads.
+// columns and the execution section, key-based dedup in canonical_view,
+// writer idempotence across reopen (and re-runs of failed records), the
+// dictionary-independent core checksum, the resume set's filters, and
+// directory loads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -154,6 +156,117 @@ TEST_F(StoreTest, ReopenSkipsPresentKeysAndReusesDictionary) {
   ASSERT_TRUE(load.ok());
   ASSERT_EQ(load.records.size(), 2u);
   EXPECT_EQ(json_of(load.records[1]), json_of(make_record("fig7", 43)));
+}
+
+TEST_F(StoreTest, FailedRecordDoesNotBlockItsReRun) {
+  const std::string path = shard("s");
+  StoreRecord failed = make_record("fig7", 42);
+  failed.result.status = RunStatus::kFailed;
+  failed.result.error = "deliberate failure";
+  {
+    StoreWriter w(path);
+    ASSERT_TRUE(w.append(failed));
+    EXPECT_FALSE(w.contains(failed.key()));
+  }
+  {
+    StoreWriter w(path);  // reopen, as a --resume does
+    ASSERT_TRUE(w.ok()) << w.error();
+    ASSERT_TRUE(w.append(make_record("fig7", 42)));
+    EXPECT_EQ(w.appended(), 1u);
+    EXPECT_TRUE(w.contains(failed.key()));
+  }
+  StoreLoad load = load_store_file(path);
+  ASSERT_TRUE(load.ok());
+  ASSERT_EQ(load.records.size(), 2u);
+  const std::vector<StoreRecord> view = canonical_view(load.records);
+  ASSERT_EQ(view.size(), 1u);
+  EXPECT_EQ(view[0].result.status, RunStatus::kOk);
+  EXPECT_EQ(json_of(view[0]), json_of(make_record("fig7", 42)));
+}
+
+TEST_F(StoreTest, ExecutionSectionRoundTripsOutsideTheCore) {
+  StoreRecord timed = make_record("fig7", 42);
+  timed.result.wall_ms = 123.456;
+  timed.result.peak_rss_kb = 54321;
+  obs::MetricsRegistry wall;
+  wall.histogram("prof.phase_ms.simulate", obs::MetricClock::kWall)
+      .observe(98.25);
+  wall.counter("prof.events_scheduled", obs::MetricClock::kWall).add(777);
+  timed.result.profile = wall.snapshot(obs::MetricClock::kWall);
+  const std::string path = shard("s");
+  {
+    StoreWriter w(path);
+    ASSERT_TRUE(w.append(timed));
+  }
+  StoreLoad load = load_store_file(path);
+  ASSERT_TRUE(load.ok());
+  ASSERT_EQ(load.records.size(), 1u);
+  const ExperimentResult& r = load.records[0].result;
+  EXPECT_EQ(r.wall_ms, 123.456);
+  EXPECT_EQ(r.peak_rss_kb, 54321u);
+  ASSERT_EQ(r.profile.size(), 2u);
+  EXPECT_EQ(r.profile[0].clock, obs::MetricClock::kWall);
+  RunSummary a, b;
+  a.results.push_back(timed.result);
+  b.results.push_back(r);
+  std::ostringstream ja, jb;
+  write_json(a, ja, /*include_timing=*/true);
+  write_json(b, jb, /*include_timing=*/true);
+  EXPECT_EQ(ja.str(), jb.str());
+
+  // Key, timing-free JSON and core checksum ignore the execution section.
+  const StoreRecord untimed = make_record("fig7", 42);
+  EXPECT_EQ(load.records[0].key(), untimed.key());
+  EXPECT_EQ(json_of(load.records[0]), json_of(untimed));
+  EXPECT_EQ(core_checksum(load.records[0]), core_checksum(untimed));
+}
+
+TEST_F(StoreTest, CoreChecksumIsDictionaryIndependent) {
+  // The same record written after different vocabularies gets different
+  // dictionary ids in each shard, but the same core checksum.
+  {
+    StoreWriter w0(shard("a"));
+    ASSERT_TRUE(w0.append(make_record("fig7", 42)));
+    StoreWriter w1(shard("b"));
+    StoreRecord other = make_record("fig2", 7, {{"qdisc", "red"}});
+    other.result.metrics[0].name = "other_series";
+    ASSERT_TRUE(w1.append(other));
+    ASSERT_TRUE(w1.append(make_record("fig7", 42)));
+  }
+  const StoreLoad a = load_store_file(shard("a"));
+  const StoreLoad b = load_store_file(shard("b"));
+  ASSERT_EQ(a.records.size(), 1u);
+  ASSERT_EQ(b.records.size(), 2u);
+  EXPECT_EQ(core_checksum(a.records[0]), core_checksum(b.records[1]));
+  StoreRecord changed = make_record("fig7", 42);
+  changed.result.text += "one more line\n";
+  EXPECT_NE(core_checksum(changed), core_checksum(a.records[0]));
+}
+
+TEST_F(StoreTest, CompletedRunsFiltersStatusSeedAndLabels) {
+  const std::uint64_t base = 42;
+  const std::vector<std::pair<std::string, std::string>> cell = {
+      {"qdisc", "codel"}};
+  StoreRecord ok = make_record("alpha", Runner::fork_seed(base, "alpha"), cell);
+  StoreRecord failed =
+      make_record("beta", Runner::fork_seed(base, "beta"), cell);
+  failed.result.status = RunStatus::kFailed;
+  failed.result.error = "boom";
+  // Another campaign seed, and another grid cell at the right seed.
+  StoreRecord stale =
+      make_record("gamma", Runner::fork_seed(base + 1, "gamma"), cell);
+  StoreRecord other_cell = make_record(
+      "delta", Runner::fork_seed(base, "delta"), {{"qdisc", "red"}});
+  // A re-run of alpha with different text: the later record must win.
+  StoreRecord rerun = ok;
+  rerun.result.text = "== fresher table ==\n";
+
+  const auto completed =
+      completed_runs({ok, failed, stale, other_cell, rerun}, base, cell);
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_EQ(completed.count("alpha"), 1u);
+  EXPECT_EQ(completed.at("alpha").text, "== fresher table ==\n");
+  EXPECT_EQ(completed_runs({ok}, base, {}).size(), 0u);
 }
 
 TEST_F(StoreTest, TornTailKeepsValidPrefixAndIsSealedOnReopen) {

@@ -1,19 +1,13 @@
-// Campaign profile viewer: aggregates one or more fiveg-ledger/v1 files
-// (fiveg_runall --ledger) into the tables an operator actually wants after
-// a large sweep — where the wall time went (slowest runs, per-phase split,
-// per-event-label attribution) and which experiments are flaky (mixed
-// statuses, or ok runs at the same seed whose deterministic checksum
-// disagrees, i.e. a determinism violation).
+// Campaign profile viewer: aggregates one or more fiveg-rs/v1 store
+// directories (fiveg_runall --store) into the tables an operator actually
+// wants after a large sweep — where the wall time went (slowest runs,
+// per-phase split, per-event-label attribution, all from each record's
+// execution section) and which experiments are flaky (mixed statuses, or
+// ok runs of one grid cell whose deterministic checksum disagrees, i.e. a
+// determinism violation). Flakiness is judged over every stored record,
+// before canonical_view folds re-runs away.
 //
-// With --store DIR the fiveg-rs/v1 columnar store written by the same
-// campaign is loaded alongside and cross-checked against the ledger:
-// every ledgered run must have exactly one store record at the same
-// (experiment, seed), and every store record must be backed by a ledger
-// run. Any missing, duplicated or orphaned record is listed and the exit
-// status is non-zero — this is the cheap end-of-campaign audit that the
-// durable artifacts actually agree.
-//
-// usage: fiveg_prof LEDGER... [--store DIR] [--top N] [--json]
+// usage: fiveg_prof DIR... [--top N] [--json]
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -24,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/ledger.h"
 #include "core/store.h"
 #include "measure/json.h"
 #include "measure/table.h"
@@ -35,18 +28,14 @@ namespace {
 using fiveg::core::ExperimentResult;
 using fiveg::core::RunStatus;
 
-constexpr const char* kUsage = R"(usage: fiveg_prof LEDGER... [options]
+constexpr const char* kUsage = R"(usage: fiveg_prof DIR... [options]
 
-Aggregates campaign run ledgers (fiveg_runall --ledger) into wall-time and
-flakiness tables.
+Aggregates campaign result stores (fiveg_runall --store DIR) into
+wall-time and flakiness tables.
 
 options:
-  --store DIR  also load the fiveg-rs/v1 store the campaign wrote with
-               --store and cross-check it against the ledger: every
-               ledgered run must have exactly one store record and vice
-               versa (mismatches are listed; exit status is non-zero)
   --top N   rows in the slowest-runs and label tables (default 10)
-  --json    emit a machine-readable fiveg-prof/v1 document instead of text
+  --json    emit a machine-readable fiveg-prof/v2 document instead of text
   -h, --help  this message
 )";
 
@@ -62,11 +51,11 @@ std::string fmt_us(double us) {
   return buf;
 }
 
-// One ledger record plus its recomputed deterministic checksum (the loader
-// already verified it matches the stored one).
+// One stored run plus its deterministic checksum and profile summary.
 struct Run {
   ExperimentResult result;
-  std::string checksum;
+  std::string key;  // StoreRecord::key(): experiment, seed, labels
+  std::uint64_t checksum = 0;
   fiveg::obs::prof::Summary prof;
 };
 
@@ -75,16 +64,17 @@ struct PerExperiment {
   std::size_t ok = 0;
   std::size_t failed = 0;
   std::size_t timed_out = 0;
-  // Distinct deterministic checksums among ok runs, per seed: more than
-  // one for any seed means the experiment is not deterministic.
-  std::map<std::uint64_t, std::set<std::string>> ok_checksums_by_seed;
+  // Distinct deterministic checksums among ok runs, per record key (seed
+  // and campaign labels): more than one for any key means the experiment
+  // is not deterministic.
+  std::map<std::string, std::set<std::uint64_t>> ok_checksums_by_key;
 
   [[nodiscard]] bool mixed_status() const {
     return (ok > 0) + (failed > 0) + (timed_out > 0) > 1;
   }
   [[nodiscard]] bool nondeterministic() const {
-    for (const auto& [seed, sums] : ok_checksums_by_seed) {
-      (void)seed;
+    for (const auto& [key, sums] : ok_checksums_by_key) {
+      (void)key;
       if (sums.size() > 1) return true;
     }
     return false;
@@ -96,80 +86,16 @@ struct LabelAgg {
   double total_ms = 0.0;
 };
 
-// Ledger <-> store audit result. Entries are "name seed=N" keys.
-struct StoreAudit {
-  std::size_t files = 0;
-  std::size_t records = 0;
-  std::vector<std::string> missing;     // in ledger, absent from store
-  std::vector<std::string> duplicated;  // >1 store record for one run
-  std::vector<std::string> orphaned;    // store record with no ledger run
-  [[nodiscard]] bool ok() const {
-    return missing.empty() && duplicated.empty() && orphaned.empty();
-  }
-};
-
-std::string run_key(const std::string& name, std::uint64_t seed) {
-  return name + " seed=" + std::to_string(seed);
-}
-
-// Cross-checks the canonical store view against the ledger: every
-// ledgered run — the store keeps failed runs too, their error string is
-// part of the deterministic payload — must have exactly one store record
-// at its (experiment, seed), and every store record must be backed by a
-// ledgered run. Duplicate ledger lines for one key (a crash re-run) are
-// one logical run.
-StoreAudit audit_store(const std::string& store_dir,
-                       const std::vector<Run>& runs, bool* load_failed) {
-  StoreAudit audit;
-  fiveg::core::StoreDirLoad load = fiveg::core::load_store_dir(store_dir);
-  if (!load.ok()) {
-    std::cerr << "fiveg_prof: " << load.error << "\n";
-    *load_failed = true;
-    return audit;
-  }
-  const std::vector<fiveg::core::StoreRecord> records =
-      fiveg::core::canonical_view(std::move(load.records));
-  audit.files = load.files.size();
-  audit.records = records.size();
-
-  std::map<std::string, std::size_t> store_count;
-  for (const fiveg::core::StoreRecord& rec : records) {
-    ++store_count[run_key(rec.result.name, rec.result.seed)];
-  }
-  std::set<std::string> ledgered;
-  for (const Run& run : runs) {
-    ledgered.insert(run_key(run.result.name, run.result.seed));
-  }
-  for (const std::string& key : ledgered) {
-    const auto it = store_count.find(key);
-    if (it == store_count.end()) {
-      audit.missing.push_back(key);
-    } else if (it->second > 1) {
-      audit.duplicated.push_back(key);
-    }
-  }
-  for (const auto& [key, n] : store_count) {
-    (void)n;
-    if (ledgered.find(key) == ledgered.end()) {
-      audit.orphaned.push_back(key);
-    }
-  }
-  return audit;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> paths;
-  std::string store_dir;
+  std::vector<std::string> dirs;
   std::size_t top = 10;
   bool as_json = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--store" && i + 1 < argc) {
-      store_dir = argv[++i];
-    } else if (arg == "--top" && i + 1 < argc) {
+    if (arg == "--top" && i + 1 < argc) {
       char* end = nullptr;
       top = std::strtoull(argv[++i], &end, 10);
       if (end == argv[i] || *end != '\0' || top == 0) {
@@ -185,39 +111,39 @@ int main(int argc, char** argv) {
       std::cerr << "unknown option: " << arg << "\n" << kUsage;
       return 2;
     } else {
-      paths.push_back(arg);
+      dirs.push_back(arg);
     }
   }
-  if (paths.empty()) {
-    std::cerr << "fiveg_prof: no ledger files\n" << kUsage;
+  if (dirs.empty()) {
+    std::cerr << "fiveg_prof: no store directories\n" << kUsage;
     return 2;
   }
 
   std::vector<Run> runs;
+  std::size_t files = 0;
+  std::size_t torn = 0;
   std::size_t dropped = 0;
-  std::size_t corrupt = 0;
-  bool truncated = false;
-  for (const std::string& path : paths) {
-    fiveg::core::LedgerLoad load = fiveg::core::load_ledger(path);
+  for (const std::string& dir : dirs) {
+    fiveg::core::StoreDirLoad load = fiveg::core::load_store_dir(dir);
     if (!load.ok()) {
       std::cerr << "fiveg_prof: " << load.error << "\n";
       return 2;
     }
-    dropped += load.dropped_lines;
-    corrupt += load.corrupt_records;
-    truncated |= load.truncated_tail;
-    for (ExperimentResult& r : load.records) {
+    files += load.files.size();
+    torn += load.torn_files;
+    dropped += load.dropped_records;
+    for (fiveg::core::StoreRecord& rec : load.records) {
       Run run;
-      run.checksum = fiveg::core::ledger_checksum(r);
-      run.prof = fiveg::obs::prof::summarize(r.profile);
-      run.result = std::move(r);
+      run.checksum = fiveg::core::core_checksum(rec);
+      run.prof = fiveg::obs::prof::summarize(rec.result.profile);
+      run.result = std::move(rec.result);
+      run.key = rec.key();
       runs.push_back(std::move(run));
     }
   }
-  if (dropped > 0 || corrupt > 0 || truncated) {
-    std::cerr << "fiveg_prof: skipped " << dropped << " unparseable line(s), "
-              << corrupt << " corrupt record(s)"
-              << (truncated ? ", torn final line" : "") << "\n";
+  if (torn > 0 || dropped > 0) {
+    std::cerr << "fiveg_prof: skipped " << torn << " torn shard tail(s), "
+              << dropped << " undecodable record(s)\n";
   }
 
   // Aggregate.
@@ -232,7 +158,7 @@ int main(int argc, char** argv) {
     switch (r.status) {
       case RunStatus::kOk:
         ++e.ok;
-        e.ok_checksums_by_seed[r.seed].insert(run.checksum);
+        e.ok_checksums_by_key[run.key].insert(run.checksum);
         break;
       case RunStatus::kFailed:
         ++e.failed;
@@ -288,19 +214,10 @@ int main(int argc, char** argv) {
     timed_out += e.timed_out;
   }
 
-  StoreAudit audit;
-  const bool have_store = !store_dir.empty();
-  if (have_store) {
-    bool load_failed = false;
-    audit = audit_store(store_dir, runs, &load_failed);
-    if (load_failed) return 2;
-  }
-  const bool audit_failed = have_store && !audit.ok();
-
   if (as_json) {
     fiveg::measure::JsonWriter w(std::cout);
     w.begin_object();
-    w.kv("schema", "fiveg-prof/v1");
+    w.kv("schema", "fiveg-prof/v2");
     w.key("summary");
     w.begin_object();
     w.kv("records", static_cast<std::uint64_t>(runs.size()));
@@ -310,9 +227,9 @@ int main(int argc, char** argv) {
     w.kv("timed_out", static_cast<std::uint64_t>(timed_out));
     w.kv("total_wall_ms", total_wall_ms);
     w.kv("peak_rss_kb", peak_rss_kb);
-    w.kv("dropped_lines", static_cast<std::uint64_t>(dropped));
-    w.kv("corrupt_records", static_cast<std::uint64_t>(corrupt));
-    w.kv("truncated_tail", truncated);
+    w.kv("files", static_cast<std::uint64_t>(files));
+    w.kv("torn_files", static_cast<std::uint64_t>(torn));
+    w.kv("dropped_records", static_cast<std::uint64_t>(dropped));
     w.end_object();
     w.key("slowest");
     w.begin_array();
@@ -358,27 +275,9 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_array();
-    if (have_store) {
-      w.key("store");
-      w.begin_object();
-      w.kv("files", static_cast<std::uint64_t>(audit.files));
-      w.kv("records", static_cast<std::uint64_t>(audit.records));
-      const auto string_array = [&w](const char* key,
-                                     const std::vector<std::string>& keys) {
-        w.key(key);
-        w.begin_array();
-        for (const std::string& k : keys) w.value(k);
-        w.end_array();
-      };
-      string_array("missing", audit.missing);
-      string_array("duplicated", audit.duplicated);
-      string_array("orphaned", audit.orphaned);
-      w.kv("consistent", audit.ok());
-      w.end_object();
-    }
     w.end_object();
     std::cout << "\n";
-    return flaky.empty() && !audit_failed ? 0 : 1;
+    return flaky.empty() ? 0 : 1;
   }
 
   std::cout << "campaign: " << runs.size() << " record(s), " << per_exp.size()
@@ -432,20 +331,5 @@ int main(int argc, char** argv) {
     std::cout << "no flaky experiments\n";
   }
 
-  if (have_store) {
-    std::cout << "\nstore: " << audit.records << " record(s) across "
-              << audit.files << " shard(s)\n";
-    const auto report = [](const char* what,
-                           const std::vector<std::string>& keys) {
-      for (const std::string& key : keys) {
-        std::cout << "  " << what << ": " << key << "\n";
-      }
-    };
-    report("MISSING from store (in ledger)", audit.missing);
-    report("DUPLICATED in store", audit.duplicated);
-    report("ORPHANED in store (no ledger run)", audit.orphaned);
-    std::cout << (audit.ok() ? "ledger and store agree\n"
-                             : "ledger/store MISMATCH\n");
-  }
-  return flaky.empty() && !audit_failed ? 0 : 1;
+  return flaky.empty() ? 0 : 1;
 }
