@@ -16,6 +16,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #endif
@@ -400,6 +401,17 @@ StoreWriter::StoreWriter(const std::string& path) {
   if (fd_ < 0) {
     error_ = "cannot open store shard for append: " + path + ": " +
              std::strerror(errno);
+    return;
+  }
+  // The dictionary below is rebuilt once and then extended in memory, so
+  // a second writer appending to this shard would hand out colliding ids.
+  // The lock is released when fd_ is closed.
+  if (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+    if (errno == EWOULDBLOCK) {
+      error_ = "store shard is open for writing by another writer: " + path;
+    } else {
+      error_ = "cannot lock store shard: " + path + ": " + std::strerror(errno);
+    }
     return;
   }
   // Scan what's already there: rebuild the dictionary and present-key

@@ -25,9 +25,14 @@
 // in file order, starting at 0); 'R' frames hold one run encoded against
 // that dictionary (obs/codec.h). The writer emits a record's dictionary
 // delta and the record itself in ONE O_APPEND write(), so concurrent
-// workers never interleave bytes and a killed campaign can tear at most
-// the final write — which the parser treats as a torn tail (the expected
-// crash artifact), never as corruption of the valid prefix.
+// workers — threads of one process sharing one StoreWriter — never
+// interleave bytes, and a killed campaign can tear at most the final
+// write — which the parser treats as a torn tail (the expected crash
+// artifact), never as corruption of the valid prefix. The dictionary
+// lives in the writer's memory, so a second writer on the same shard
+// (another process, or another StoreWriter in this one) would assign
+// colliding ids: the writer holds an exclusive flock() on the shard, and
+// a second one is refused.
 //
 // Merging is order-independent by construction: records are keyed by
 // (experiment, seed, campaign labels), and canonical_view() deduplicates
@@ -135,7 +140,9 @@ struct StoreDirLoad {
 /// completed campaign into the same store appends nothing. A failed or
 /// timed-out record does not count as present: its re-run is appended
 /// after it and supersedes it in canonical_view. Thread-safe; each append
-/// is one O_APPEND write().
+/// is one O_APPEND write(). One writer per shard: the constructor takes an
+/// exclusive, non-blocking flock() before the scan, and while another
+/// writer holds it the new one is !ok() with an error naming the shard.
 class StoreWriter {
  public:
   explicit StoreWriter(const std::string& path);

@@ -138,40 +138,52 @@ void Link::try_transmit() {
     transmitting_ = false;
     return;
   }
-  Packet p = std::move(*popped);
+  on_wire_ = std::move(*popped);
   if (sojourn_ms_ != nullptr) {
     const double sojourn = sim::to_millis(qdisc_->last_sojourn());
     sojourn_ms_->observe(sojourn);
     if (sojourn_d_ != nullptr) sojourn_d_->observe(sojourn);
   }
   ++in_transit_packets_;
-  const double bits = 8.0 * static_cast<double>(p.size_bytes);
+  const double bits = 8.0 * static_cast<double>(on_wire_.size_bytes);
   const auto tx_time = static_cast<sim::Time>(
       bits / rate * static_cast<double>(sim::kSecond));
-  sim_->schedule_in(tx_time, "net.link_tx",
-                    [this, p = std::move(p)]() mutable {
-    finish_transmit(std::move(p));
-  });
+  sim_->schedule_in(tx_time, "net.link_tx", [this] { finish_transmit(); });
 }
 
-void Link::finish_transmit(Packet p) {
+void Link::finish_transmit() {
   sim::Time delay = config_.prop_delay;
-  if (config_.extra_delay_fn) delay += config_.extra_delay_fn(p);
+  if (config_.extra_delay_fn) delay += config_.extra_delay_fn(on_wire_);
   if (fault_ != nullptr) delay += fault_->link_extra_delay(config_.name);
   --in_transit_packets_;
   ++delivered_packets_;
-  delivered_bytes_ += p.size_bytes;
+  delivered_bytes_ += on_wire_.size_bytes;
   if (sink_ != nullptr) {
     // In-order delivery: per-packet jitter (HARQ retransmissions) delays
-    // followers too, exactly like an RLC reordering buffer would.
+    // followers too, exactly like an RLC reordering buffer would. The
+    // delivery's key is reserved now, so it orders exactly like an event
+    // scheduled here.
     const sim::Time at = std::max(sim_->now() + delay, last_delivery_at_);
     last_delivery_at_ = at;
-    sim_->schedule_at(at, "net.link_deliver",
-                      [this, p = std::move(p)]() mutable {
-      if (sink_ != nullptr) sink_->deliver(std::move(p));
-    });
+    if (!propagating_) propagating_.emplace();
+    propagating_->push_back({std::move(on_wire_), sim_->reserve(at)});
+    if (propagating_->size() == 1) schedule_head();
   }
   try_transmit();
+}
+
+void Link::schedule_head() {
+  sim_->schedule_reserved(propagating_->front().key, "net.link_deliver",
+                          [this] { deliver_head(); });
+}
+
+void Link::deliver_head() {
+  Packet p = std::move(propagating_->front().packet);
+  propagating_->pop_front();
+  // The successor's key is later than this one (in-order times, later
+  // sequence number), so inserting it now keeps the pop order exact.
+  if (!propagating_->empty()) schedule_head();
+  sink_->deliver(std::move(p));
 }
 
 }  // namespace fiveg::net

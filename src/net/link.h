@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "fault/fault.h"
@@ -95,7 +97,10 @@ class Link {
 
  private:
   void try_transmit();
-  void finish_transmit(Packet p);
+  void finish_transmit();
+  // Inserts the FIFO head's delivery event under its reserved key.
+  void schedule_head();
+  void deliver_head();
   /// Folds any drop/mark counter movement since the last call into the
   /// metrics and the trace (one event per batch, like the old per-push
   /// accounting).
@@ -106,6 +111,18 @@ class Link {
   PacketSink* sink_;
   std::unique_ptr<QueueDiscipline> qdisc_;
   bool transmitting_ = false;
+  Packet on_wire_;  // being serialised while a net.link_tx event is pending
+  // Packets in propagation, in delivery order, each under the event key
+  // its delivery reserved when it left the wire. Only the head's delivery
+  // is in the simulator's heap; each delivery inserts its successor's, so
+  // the heap holds one event per link instead of one per packet in flight.
+  // Created with the first packet: a std::deque allocates on construction,
+  // and a freshly built testbed's links are all idle.
+  struct Propagating {
+    Packet packet;
+    sim::EventQueue::Key key;
+  };
+  std::optional<std::deque<Propagating>> propagating_;
 
   // Observability handles, resolved once at construction (null without a
   // scope). Every discipline reports the sojourn of each delivered packet

@@ -11,6 +11,24 @@
 // Cancelling an already-fired or unknown id compares generations and does
 // nothing, so no per-id bookkeeping ever accumulates: total storage is
 // bounded by the high-water mark of concurrently pending events.
+//
+// Two ways to keep the heap small without changing the pop order:
+//
+//  - reschedule() moves a pending event. A later key is written into the
+//    slot only; the heap item keeps the old, smaller key, and when it
+//    surfaces it is re-pushed under the slot's key instead of running. A
+//    protocol timer re-armed on every packet thus holds one heap item, not
+//    one dead item per re-arm.
+//  - reserve() hands out the key of an event that will be inserted later
+//    (schedule_reserved). A caller that delivers in key order — a link's
+//    in-order delivery FIFO — keeps only its head in the heap and inserts
+//    each successor when its predecessor runs.
+//
+// Both are exact because keys are unique (every key takes the next
+// sequence number, exactly as a plain schedule() would) and a key only
+// ever enters the heap while it is greater than the key being popped: the
+// set of runnable keys at every pop, and so the pop order, is what plain
+// cancel + schedule would give.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +61,33 @@ class EventQueue {
   /// Cancels a pending event. Cancelling an already-fired or unknown
   /// handle is a harmless no-op (the common race in protocol timers).
   void cancel(EventId id);
+
+  /// Moves pending event `id` to time `at`, keeping its action and label,
+  /// and returns its handle (`id` itself unless the event moved earlier).
+  /// The event takes a new sequence number, so it orders exactly as if it
+  /// had been cancelled and scheduled anew: at or after its old time the
+  /// key is re-written in place; strictly earlier, it is cancelled and
+  /// scheduled. Throws std::logic_error if `id` is not pending.
+  EventId reschedule(EventId id, Time at);
+
+  /// The ordering key of an event: time, then sequence number.
+  struct Key {
+    Time at;
+    std::uint64_t seq;
+  };
+
+  /// Takes the key an event scheduled at `at` now would get, without
+  /// inserting anything: the event counts as pending (see size()) until
+  /// schedule_reserved() inserts it. The caller must insert it before any
+  /// event with a later key is popped — in practice by holding it behind a
+  /// pending event with a smaller key and inserting it when that one runs.
+  [[nodiscard]] Key reserve(Time at) noexcept {
+    ++reserved_;
+    return Key{at, seq_++};
+  }
+
+  /// Inserts `action` under a key taken by reserve().
+  void schedule_reserved(Key key, const char* label, Callable action);
 
   /// True if no runnable (non-cancelled) events remain.
   [[nodiscard]] bool empty() const noexcept;
@@ -77,10 +122,13 @@ class EventQueue {
     return cancelled_;
   }
 
-  /// Heap occupancy, an upper bound on the runnable-event count (lazily
-  /// reaped cancelled items are included until they surface). Used for
-  /// queue-depth high-water marks, where the bound is tight enough.
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  /// Heap occupancy plus reserved events not yet inserted: an upper bound
+  /// on the runnable-event count (lazily reaped cancelled items are
+  /// included until they surface). Used for queue-depth high-water marks,
+  /// where the bound is tight enough.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() + reserved_;
+  }
 
   /// Number of action slots ever allocated: the high-water mark of
   /// concurrently pending events. Stays flat however many ids are
@@ -103,11 +151,19 @@ class EventQueue {
   struct Slot {
     Callable action;
     const char* label = nullptr;
+    // The event's current key. A heap item whose seq differs was left
+    // behind by reschedule() and carries an older, smaller key.
+    Time at = 0;
+    std::uint64_t seq = 0;
     std::uint32_t gen = 0;
     bool live = false;
   };
 
-  // Drops heap items whose slot was cancelled (generation mismatch).
+  // Pushes a heap item for a fresh slot holding `action` under `key`.
+  EventId insert(Key key, const char* label, Callable action);
+  // Brings a runnable item to the top: drops items whose slot was
+  // cancelled (generation mismatch) and re-pushes items that reschedule()
+  // re-keyed under the slot's key, running nothing.
   void skip_stale() const;
 
   mutable std::priority_queue<HeapItem, std::vector<HeapItem>,
@@ -117,6 +173,8 @@ class EventQueue {
   std::vector<std::uint32_t> free_;  // recycled slot indices (LIFO)
   std::uint64_t seq_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::size_t reserved_ = 0;  // keys reserved and not yet inserted
+  Key last_popped_{0, 0};     // checked by schedule_reserved()
 };
 
 }  // namespace fiveg::sim

@@ -10,6 +10,7 @@
 // tracked. Without a scope (the default), each step pays a single branch.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -68,6 +69,28 @@ class Simulator {
 
   /// Cancels a pending event (no-op if already fired).
   void cancel(EventId id) { queue_.cancel(id); }
+
+  /// Moves pending event `id` to absolute time `at` (clamped to `now()`)
+  /// and returns its handle; it orders exactly like a cancel followed by
+  /// a fresh schedule_at (see EventQueue::reschedule). A timer re-armed
+  /// on every packet uses this to keep one heap item instead of leaving a
+  /// dead one behind per re-arm.
+  EventId reschedule(EventId id, Time at) {
+    return queue_.reschedule(id, std::max(at, now_));
+  }
+
+  /// Reserves the key an event scheduled at `at` (clamped to `now()`)
+  /// would get now, for a later schedule_reserved(): see
+  /// EventQueue::reserve for the ordering contract.
+  [[nodiscard]] EventQueue::Key reserve(Time at) noexcept {
+    return queue_.reserve(std::max(at, now_));
+  }
+
+  /// Inserts `action` under a key taken by reserve().
+  void schedule_reserved(EventQueue::Key key, const char* label,
+                         Callable action) {
+    queue_.schedule_reserved(key, label, std::move(action));
+  }
 
   /// Runs until the event set drains or `stop()` is called.
   void run();

@@ -146,7 +146,10 @@ class BbrCc : public CongestionControl {
   double pacing_gain_ = kHighGain;
   double cwnd_gain_ = kHighGain;
 
-  // Windowed-max bottleneck bandwidth over the last 10 rounds.
+  // Windowed-max bottleneck bandwidth over the last 10 rounds, kept as a
+  // monotonic deque of (round, bw): bw strictly decreases front to back,
+  // so the front is the window's max. A sample dominated by a newer one
+  // (no larger, and expiring no later) can never be the max again.
   std::deque<std::pair<std::uint64_t, double>> bw_samples_;
   std::uint64_t round_ = 0;
   sim::Time round_start_ = 0;

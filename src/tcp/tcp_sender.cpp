@@ -170,8 +170,14 @@ void TcpSender::send_segment(std::uint64_t seq, bool retransmit) {
 }
 
 void TcpSender::arm_rto() {
-  if (rto_timer_) sim_->cancel(*rto_timer_);
-  rto_timer_ = sim_->schedule_in(rtt_.rto(), "tcp.rto", [this] { on_rto(); });
+  // Every segment sent re-arms the timer: a pending one is moved (which
+  // usually re-keys it in place), not cancelled and scheduled anew.
+  const sim::Time at = sim_->now() + rtt_.rto();
+  if (rto_timer_) {
+    rto_timer_ = sim_->reschedule(*rto_timer_, at);
+  } else {
+    rto_timer_ = sim_->schedule_at(at, "tcp.rto", [this] { on_rto(); });
+  }
 }
 
 void TcpSender::deliver(net::Packet p) {

@@ -2,10 +2,17 @@
 // determinism of the clock, and the RNG substream contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
+#include <functional>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -218,6 +225,173 @@ TEST(EventQueueTest, SizeIsUpperBoundOnPending) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
 }
+
+TEST(EventQueueTest, RescheduleLaterRunsOnceAtNewTime) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId timer = q.schedule(10, [&] { order.push_back(0); });
+  q.schedule(20, [&] { order.push_back(1); });
+  EXPECT_EQ(q.reschedule(timer, 20), timer);  // later: re-keyed in place
+  EXPECT_EQ(q.reschedule(timer, 30), timer);
+  q.schedule(30, [&] { order.push_back(2); });
+  EXPECT_EQ(q.size(), 3u);  // one heap item for the timer, not three
+  std::vector<Time> times;
+  while (!q.empty()) times.push_back(q.pop_and_run());
+  // The timer took its key at 30 before the other event at 30 was
+  // scheduled, so it runs first.
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+  EXPECT_EQ(times, (std::vector<Time>{20, 30, 30}));
+  EXPECT_EQ(q.scheduled_count(), 5u);
+  EXPECT_EQ(q.cancelled_count(), 0u);
+}
+
+TEST(EventQueueTest, RescheduleEarlierCancelsAndSchedules) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId timer = q.schedule(50, [&] { order.push_back(0); });
+  q.schedule(20, [&] { order.push_back(1); });
+  const EventId moved = q.reschedule(timer, 10);
+  EXPECT_NE(moved, timer);
+  q.cancel(timer);  // the old handle is stale: no-op
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(q.cancelled_count(), 1u);
+  EXPECT_THROW(q.reschedule(moved, 60), std::logic_error);  // fired
+}
+
+TEST(EventQueueTest, ReservedKeysCountAsPending) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventQueue::Key a = q.reserve(10);
+  q.schedule(10, [&] { order.push_back(1); });
+  EXPECT_EQ(q.size(), 2u);  // one inserted, one reserved
+  q.schedule_reserved(a, "chain", [&] { order.push_back(0); });
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));  // reserved first: older seq
+  EXPECT_EQ(q.scheduled_count(), 2u);
+}
+
+// Randomized equivalence: an EventQueue driven through re-keyed timers
+// (reschedule) and reserved-key delivery chains pops exactly the sequence
+// a reference queue doing plain cancel + schedule pops, with equal-time
+// ties everywhere, and takes the same number of sequence numbers.
+class EventCoreEquivalenceTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EventCoreEquivalenceTest, MatchesCancelAndScheduleReference) {
+  using Fired = std::tuple<Time, std::string, int>;
+  // Reference: every event is in an ordered map from the start.
+  struct Reference {
+    std::map<std::pair<Time, std::uint64_t>, std::pair<std::string, int>>
+        events;
+    std::uint64_t seq = 0;
+    std::pair<Time, std::uint64_t> schedule(Time at, std::string label,
+                                            int payload) {
+      const std::pair<Time, std::uint64_t> key{at, seq++};
+      events.emplace(key, std::make_pair(std::move(label), payload));
+      return key;
+    }
+  } ref;
+
+  constexpr int kTimers = 6;
+  constexpr int kChains = 3;
+  EventQueue q;
+  Rng r(GetParam());
+  Time now = 0;
+  std::vector<Fired> got;
+  std::vector<Fired> want;
+
+  struct Timer {
+    bool pending = false;
+    EventId id = 0;
+    std::pair<Time, std::uint64_t> ref_key;
+  };
+  std::array<Timer, kTimers> timers{};
+  struct Chain {
+    std::deque<std::pair<int, EventQueue::Key>> fifo;
+    Time last_at = 0;
+    int next_payload = 0;
+  };
+  std::array<Chain, kChains> chains{};
+  int plain_payload = 0;
+
+  // A few distinct offsets so that many events share a time.
+  const auto later = [&] { return now + 5 * r.uniform_int(0, 4); };
+  std::function<void(int)> insert_head = [&](int c) {
+    const auto [payload, key] = chains[c].fifo.front();
+    q.schedule_reserved(key, "chain", [&, c, payload = payload] {
+      got.emplace_back(now, "chain", c * 100000 + payload);
+      chains[c].fifo.pop_front();
+      if (!chains[c].fifo.empty()) insert_head(c);
+    });
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const auto op = r.uniform_int(0, 9);
+    if (op <= 1) {  // plain event
+      const Time at = later();
+      const int payload = plain_payload++;
+      q.schedule(at, "plain",
+                 [&, payload] { got.emplace_back(now, "plain", payload); });
+      ref.schedule(at, "plain", payload);
+    } else if (op <= 4) {  // RTO-style (re-)arm, later or earlier
+      const int k = static_cast<int>(r.uniform_int(0, kTimers - 1));
+      Timer& t = timers[k];
+      const Time at = later();
+      if (t.pending) {
+        t.id = q.reschedule(t.id, at);
+        ref.events.erase(t.ref_key);
+      } else {
+        t.id = q.schedule(at, "timer", [&, k] {
+          timers[k].pending = false;
+          got.emplace_back(now, "timer", k);
+        });
+        t.pending = true;
+      }
+      t.ref_key = ref.schedule(at, "timer", k);
+    } else if (op == 5) {  // cancel a timer
+      Timer& t = timers[r.uniform_int(0, kTimers - 1)];
+      if (t.pending) {
+        q.cancel(t.id);
+        ref.events.erase(t.ref_key);
+        t.pending = false;
+      }
+    } else if (op <= 7) {  // a packet leaves the wire on chain c
+      const int c = static_cast<int>(r.uniform_int(0, kChains - 1));
+      Chain& ch = chains[c];
+      ch.last_at = std::max(later(), ch.last_at);
+      const int payload = ch.next_payload++;
+      ch.fifo.emplace_back(payload, q.reserve(ch.last_at));
+      ref.schedule(ch.last_at, "chain", c * 100000 + payload);
+      if (ch.fifo.size() == 1) insert_head(c);
+    } else if (!q.empty()) {  // run one event on both sides
+      ASSERT_FALSE(ref.events.empty());
+      now = q.next_time();
+      q.pop_and_run();
+      const auto it = ref.events.begin();
+      want.emplace_back(it->first.first, it->second.first, it->second.second);
+      ref.events.erase(it);
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_EQ(got.back(), want.back()) << "step " << step;
+    }
+  }
+  while (!q.empty()) {
+    now = q.next_time();
+    q.pop_and_run();
+    const auto it = ref.events.begin();
+    want.emplace_back(it->first.first, it->second.first, it->second.second);
+    ref.events.erase(it);
+  }
+  EXPECT_TRUE(ref.events.empty());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(q.scheduled_count(), ref.seq);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_GT(got.size(), 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventCoreEquivalenceTest,
+                         ::testing::Values(1u, 7u, 42u, 2024u, 99991u));
 
 TEST(SimulatorTest, LabelledSchedulingBehavesLikeUnlabelled) {
   Simulator s;

@@ -2,7 +2,8 @@
 // parsing and checksum rejection, torn-tail semantics (valid prefix kept,
 // tail sealed on writer reopen), record round-trips including metric
 // columns and the execution section, key-based dedup in canonical_view,
-// writer idempotence across reopen (and re-runs of failed records), the
+// writer idempotence across reopen (and re-runs of failed records), one
+// writer per shard (a second is refused while the first is open), the
 // dictionary-independent core checksum, the resume set's filters, and
 // directory loads.
 #include <gtest/gtest.h>
@@ -130,6 +131,31 @@ TEST_F(StoreTest, AppendDeduplicatesByKey) {
   EXPECT_EQ(w.appended(), 3u);
   EXPECT_TRUE(w.contains(make_record("fig7", 42).key()));
   EXPECT_FALSE(w.contains(make_record("fig8", 42).key()));
+}
+
+TEST_F(StoreTest, SecondWriterOnOpenShardIsRefused) {
+  // Each writer extends its own in-memory dictionary, so two writers on
+  // one shard would assign colliding string ids. flock() locks are per
+  // open file description, so a second writer in this same process is
+  // refused just like one in another process.
+  const std::string path = shard("s");
+  {
+    StoreWriter first(path);
+    ASSERT_TRUE(first.ok()) << first.error();
+    ASSERT_TRUE(first.append(make_record("fig7", 42)));
+    StoreWriter second(path);
+    EXPECT_FALSE(second.ok());
+    EXPECT_NE(second.error().find(path), std::string::npos)
+        << second.error();
+    ASSERT_TRUE(first.append(make_record("fig8", 42)));  // still writable
+  }
+  StoreWriter reopened(path);  // the lock went with the first writer
+  ASSERT_TRUE(reopened.ok()) << reopened.error();
+  ASSERT_TRUE(reopened.append(make_record("fig9", 42)));
+  StoreLoad load = load_store_file(path);
+  ASSERT_TRUE(load.ok());
+  ASSERT_EQ(load.records.size(), 3u);
+  EXPECT_EQ(json_of(load.records[2]), json_of(make_record("fig9", 42)));
 }
 
 TEST_F(StoreTest, ReopenSkipsPresentKeysAndReusesDictionary) {

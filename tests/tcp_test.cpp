@@ -2,11 +2,16 @@
 // RTT estimator, and full sender/receiver sessions over simulated paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/aqm.h"
 #include "net/link.h"
 #include "net/path.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "tcp/cc_algorithms.h"
 #include "tcp/congestion_control.h"
@@ -188,6 +193,80 @@ TEST(BbrTest, ExitsStartupOnPlateau) {
     cc.on_ack(make_ack(t, from_millis(20), kMss, delivered, 100e6, kMss));
   }
   EXPECT_FALSE(cc.in_slow_start());
+}
+
+// The bandwidth filter is a monotonic deque; this drives random (round,
+// rate, app_limited) sequences through BbrCc and checks after every ACK
+// that the estimate is exactly the brute-force max over the retained
+// 10-round window, and that cwnd and pacing rate are the BBR formulas
+// applied to that max for one of the gains the current mode allows.
+TEST(BbrTest, WindowedMaxFilterMatchesBruteForce) {
+  const sim::Time rtt = from_millis(20);  // constant: no ProbeRTT
+  const double rtt_s = sim::to_seconds(rtt);
+  const double min_cwnd = 4.0 * kMss;
+  const double floor_bps = 4.0 * kMss * 8.0 / rtt_s;
+  const double high = 2.885;
+  for (const std::uint64_t seed : {1u, 5u, 42u, 777u}) {
+    const bool seeded = seed % 2 == 1;
+    BbrCc cc(kMss, seeded ? CcSeed{40e6, rtt} : CcSeed{});
+    // Brute force: every accepted sample, expired as BbrCc did before.
+    std::deque<std::pair<std::uint64_t, double>> window;
+    if (seeded) window.emplace_back(0, 40e6);
+    const auto brute_max = [&] {
+      double best = 0.0;
+      for (const auto& [round, bw] : window) best = std::max(best, bw);
+      return best;
+    };
+    sim::Rng r(seed);
+    std::uint64_t round = 0;
+    sim::Time round_start = 0;
+    sim::Time t = 0;
+    double level = 50e6;
+    for (int i = 0; i < 3000; ++i) {
+      t += from_millis(static_cast<double>(r.uniform_int(0, 5) * 5));
+      if (t >= round_start + rtt) {  // BbrCc's time-based round
+        round_start = t;
+        ++round;
+      }
+      level = std::clamp(level * r.uniform(0.8, 1.25), 1e6, 400e6);
+      const double rate = r.bernoulli(0.1) ? 0.0 : level * r.uniform(0.3, 1);
+      AckEvent e = make_ack(t, rtt, kMss, 0, rate, 10 * kMss);
+      e.app_limited = r.bernoulli(0.3);
+      cc.on_ack(e);
+      if (rate > 0.0 && !(e.app_limited && rate <= brute_max())) {
+        window.emplace_back(round, rate);
+        while (window.front().first + 10 < round) window.pop_front();
+      }
+
+      const double bw = brute_max();
+      ASSERT_EQ(cc.btl_bw_bps(), bw) << "seed " << seed << " ack " << i;
+      const auto cwnd_for = [&](double gain) {
+        const double bdp =
+            bw <= 0.0 ? min_cwnd * high : gain * bw / 8.0 * rtt_s;
+        return std::max(bdp, min_cwnd);
+      };
+      const auto pacing_for = [&](double gain) {
+        return std::max(gain * bw, floor_bps);
+      };
+      std::vector<double> cwnd_gains{high};  // Startup
+      std::vector<double> pacing_gains{high};
+      if (!cc.in_slow_start()) {  // Drain or ProbeBW
+        cwnd_gains = {high, 2.0};
+        pacing_gains = {1.0 / high, 1.25, 0.75, 1};
+      }
+      bool cwnd_ok = false;
+      for (const double g : cwnd_gains) {
+        cwnd_ok = cwnd_ok || cc.cwnd_bytes() == cwnd_for(g);
+      }
+      bool pacing_ok = false;
+      for (const double g : pacing_gains) {
+        pacing_ok = pacing_ok || cc.pacing_rate_bps() == pacing_for(g);
+      }
+      EXPECT_TRUE(cwnd_ok) << "seed " << seed << " ack " << i;
+      EXPECT_TRUE(pacing_ok) << "seed " << seed << " ack " << i;
+    }
+    EXPECT_GT(round, 100u);  // the window expired many times over
+  }
 }
 
 TEST(BbrTest, LossDoesNotShrinkWindow) {
